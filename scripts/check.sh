@@ -6,7 +6,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
+# -Werror keeps the tree warning-free in fact, not just in claim.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 cd build
 ctest --output-on-failure -j"$(nproc)"

@@ -7,7 +7,7 @@
 namespace onex {
 
 /// FNV-1a 64-bit over a byte range: the integrity checksum of every ONEX
-/// persistence format (WAL records, ONEXCKPT payloads, ONEXARENA sections)
+/// persistence format (WAL records, ONEXARENA files and sections)
 /// and the fingerprint the golden tests use. Not cryptographic — it guards
 /// against torn writes and media corruption, not adversaries with write
 /// access to the data dir.

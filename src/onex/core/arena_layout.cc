@@ -77,7 +77,7 @@ std::string Quoted(const std::string& s) {
 }
 
 /// Parses a JSON-quoted string at the start of `text`; returns the remainder
-/// through `rest` (same idiom as base_io.cc).
+/// through `rest`.
 Result<std::string> TakeQuoted(const std::string& text, std::string* rest) {
   if (text.empty() || text.front() != '"') {
     return Status::ParseError("expected quoted string in arena meta");
@@ -215,7 +215,9 @@ Result<std::span<const double>> MatrixSection(std::span<const std::byte> sec,
 
 Result<std::shared_ptr<const ArenaMapping>> ArenaMapping::Map(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK: opening a FIFO must not wait for a writer; the regular-file
+  // check below rejects it.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) {
     return Status::IoError("cannot open arena '" + path + "': " +
                            std::strerror(errno));
@@ -225,6 +227,11 @@ Result<std::shared_ptr<const ArenaMapping>> ArenaMapping::Map(
     const std::string err = std::strerror(errno);
     ::close(fd);
     return Status::IoError("cannot stat arena '" + path + "': " + err);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::InvalidArgument("arena '" + path +
+                                   "' is not a regular file");
   }
   if (st.st_size <= 0) {
     ::close(fd);
@@ -261,16 +268,6 @@ void ArenaMapping::AdviseWillNeed() const {
 // ---------------------------------------------------------------------------
 // Encode
 // ---------------------------------------------------------------------------
-
-bool LooksLikeArena(std::span<const std::byte> bytes) {
-  return bytes.size() >= sizeof(kArenaMagic) &&
-         std::memcmp(bytes.data(), kArenaMagic, sizeof(kArenaMagic)) == 0;
-}
-
-bool LooksLikeArena(std::string_view bytes) {
-  return bytes.size() >= sizeof(kArenaMagic) &&
-         std::memcmp(bytes.data(), kArenaMagic, sizeof(kArenaMagic)) == 0;
-}
 
 Result<std::string> EncodeArena(const Dataset& raw, NormalizationKind kind,
                                 const NormalizationParams& params,
@@ -422,7 +419,7 @@ Result<ArenaView> ParseArena(std::span<const std::byte> bytes) {
   if (bytes.size() < kHeaderBytes) {
     return Status::ParseError("arena file truncated (no header)");
   }
-  if (!LooksLikeArena(bytes)) {
+  if (std::memcmp(bytes.data(), kArenaMagic, sizeof(kArenaMagic)) != 0) {
     return Status::ParseError("not an ONEX arena file");
   }
   if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(double) != 0) {

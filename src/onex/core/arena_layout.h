@@ -16,7 +16,9 @@
 
 namespace onex {
 
-/// The ONEXARENA checkpoint format (DESIGN.md §17): one relocatable blob
+/// The ONEXARENA snapshot format (DESIGN.md §8, §17), the one on-disk form
+/// of a prepared dataset: checkpoints and SAVEBASE files alike. One
+/// relocatable blob
 /// whose on-disk bytes ARE the in-memory columnar layout. A 64-byte header,
 /// a table of 32-byte section descriptors, then 64-byte-aligned sections
 /// holding exactly what GroupStore/OnexBase hold in RAM — the centroid
@@ -40,7 +42,8 @@ namespace onex {
 class ArenaMapping {
  public:
   /// Maps `path` read-only (MAP_PRIVATE). IoError when the file cannot be
-  /// opened or mapped; InvalidArgument on an empty file.
+  /// opened or mapped; InvalidArgument on an empty file or anything that is
+  /// not a regular file (a directory, a FIFO, a device).
   static Result<std::shared_ptr<const ArenaMapping>> Map(
       const std::string& path);
 
@@ -111,11 +114,6 @@ struct RealizedArena {
   std::shared_ptr<const Dataset> normalized;
   std::shared_ptr<const OnexBase> base;
 };
-
-/// True when `bytes` starts with the ONEXARENA magic — the cheap sniff the
-/// version-switched readers (checkpoints, LOADBASE) dispatch on.
-bool LooksLikeArena(std::span<const std::byte> bytes);
-bool LooksLikeArena(std::string_view bytes);
 
 /// Serializes a prepared dataset into one arena blob. `base.dataset()` must
 /// be the normalized dataset; `raw` carries the exact original-unit values

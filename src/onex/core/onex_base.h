@@ -65,7 +65,7 @@ struct LengthClass {
 };
 
 /// A length class still under construction: plain mutable builders, the
-/// form Restore accepts from the persistence and incremental layers before
+/// form Restore accepts from the incremental and snapshot layers before
 /// centroids/envelopes are recomputed and packed into the columnar store.
 struct LengthClassDraft {
   std::size_t length = 0;
@@ -104,7 +104,8 @@ class OnexBase {
                                 const BaseBuildOptions& options,
                                 TaskPool* pool = nullptr);
 
-  /// Reassembles a base from persisted parts (base_io.h): validates member
+  /// Reassembles a base from group memberships alone (the incremental
+  /// regroup and snapshot canonicalization paths): validates member
   /// references, recomputes centroids (policy-aware) and envelopes, packs
   /// each class into its columnar store, and rebuilds stats. `classes`
   /// entries must be sorted by length and carry their members.

@@ -179,26 +179,16 @@ Result<ReplayedSlot> ReplayWal(const std::string& dir, const WalScan& scan,
     start = 1;
     out.last_ckpt_seq = scan.records.front().checkpoint_seq;
     out.last_seq = scan.records.front().seq;
-    const std::string ckpt_path = CheckpointPath(dir, out.last_ckpt_seq);
-    if (mapped_tier && scan.records.size() == 1) {
-      // The log is just the rotation marker: the checkpoint IS the state,
-      // so serve it from the mapping — cold start pays a page-in per
-      // touched page instead of materializing every dataset up front. A
-      // legacy (non-arena) or unmappable checkpoint falls back to the
-      // materialized read below; corruption surfaces there as usual.
-      if (Result<PreparedDataset> mapped = MapCheckpointFile(ckpt_path,
-                                                             out.name);
-          mapped.ok()) {
-        snap = std::make_shared<const PreparedDataset>(*std::move(mapped));
-        out.ever_prepared = true;
-      }
-    }
-    if (snap == nullptr) {
-      ONEX_ASSIGN_OR_RETURN(PreparedDataset from_ckpt,
-                            ReadCheckpointFile(ckpt_path, out.name));
-      snap = std::make_shared<const PreparedDataset>(std::move(from_ckpt));
-      out.ever_prepared = true;
-    }
+    // When the log is just the rotation marker the checkpoint IS the
+    // state, so the mapped tier serves it in place: cold start pays a
+    // page-in per touched page instead of materializing every dataset up
+    // front. With records to replay on top it is materialized.
+    ONEX_ASSIGN_OR_RETURN(
+        PreparedDataset from_ckpt,
+        ReadArenaFile(CheckpointPath(dir, out.last_ckpt_seq), out.name,
+                      mapped_tier && scan.records.size() == 1));
+    snap = std::make_shared<const PreparedDataset>(std::move(from_ckpt));
+    out.ever_prepared = true;
   }
 
   for (std::size_t i = start; i < scan.records.size(); ++i) {
@@ -307,11 +297,10 @@ Status DatasetRegistry::Adopt(const std::string& name,
   if (durable_.load()) {
     // Slot birth is a durable event, and the whole birth happens BEFORE
     // the slot becomes findable: an unprepared slot journals its raw
-    // dataset as the first record; a prepared adopt (LOADBASE, whose
-    // state came from an ONEXPREP file and so is already canonical)
-    // writes its bootstrap checkpoint — the replay floor — while still
-    // unpublished. A concurrent Append/Extend therefore can never install
-    // into a journal that has no floor, and a failure here leaves nothing
+    // dataset as the first record; a prepared adopt (LOADBASE) writes its
+    // bootstrap checkpoint — the replay floor — while still unpublished.
+    // A concurrent Append/Extend therefore can never install into a
+    // journal that has no floor, and a failure here leaves nothing
     // visible and no acknowledged write behind. The cheap map pre-check
     // keeps the common collision an AlreadyExists; a racing double-adopt
     // is serialized by the journal directory creation itself.
@@ -737,9 +726,10 @@ std::shared_ptr<const PreparedDataset> DatasetRegistry::TryDowngradeLocked(
       journal->last_ckpt_seq.load() == 0) {
     return nullptr;
   }
-  Result<PreparedDataset> mapped = MapCheckpointFile(
-      CheckpointPath(journal->dir, journal->last_ckpt_seq.load()), name);
-  if (!mapped.ok()) return nullptr;  // legacy/missing/corrupt: caller strips
+  Result<PreparedDataset> mapped = ReadArenaFile(
+      CheckpointPath(journal->dir, journal->last_ckpt_seq.load()), name,
+      /*in_place=*/true);
+  if (!mapped.ok()) return nullptr;  // missing/corrupt: caller strips
   return std::make_shared<const PreparedDataset>(*std::move(mapped));
 }
 

@@ -171,7 +171,7 @@ struct MaintenanceStatus {
 ///     length classes and installs conditionally like every other writer;
 ///   - optional durability (DESIGN.md §13): once Recover() has run, every
 ///     acknowledged mutation is journaled write-ahead into a per-slot
-///     versioned WAL, checkpoints fold the log into ONEXPREP snapshots, and
+///     versioned WAL, checkpoints fold the log into ONEXARENA snapshots, and
 ///     the next Recover() reconstructs every slot bit-identically to the
 ///     pre-crash in-memory state.
 ///
@@ -322,7 +322,7 @@ class DatasetRegistry {
   std::string data_dir() const;
 
   /// Folds `name`'s journal into a fresh checkpoint file now: serializes
-  /// the current prepared snapshot (ONEXPREP payload plus exact raw
+  /// the current prepared snapshot (an ONEXARENA blob with the exact raw
   /// values), installs the snapshot's canonical image into the live slot
   /// under the same critical section that restarts the WAL, and deletes
   /// the superseded log. The adoption is what makes recovery bit-exact:

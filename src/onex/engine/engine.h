@@ -149,13 +149,15 @@ class Engine {
   Result<ExtendSummary> ExtendSeries(const std::string& name,
                                      std::vector<ExtendSpec> extensions);
 
-  /// Persists a prepared dataset (normalized values, groups, build options
-  /// and normalization parameters) so later sessions skip preprocessing.
+  /// Persists a prepared dataset as an ONEXARENA file (raw and normalized
+  /// values, groups, build options and normalization parameters) so later
+  /// sessions skip preprocessing. Written atomically: on any error `path`
+  /// keeps its previous contents.
   Status SavePrepared(const std::string& name, const std::string& path) const;
 
-  /// Loads a dataset persisted by SavePrepared and registers it as `name`
-  /// (AlreadyExists on collision). The dataset arrives prepared; the raw
-  /// values are recovered through the stored normalization parameters.
+  /// Loads a file written by SavePrepared (or a checkpoint) and registers
+  /// it as `name` (AlreadyExists on collision). The dataset arrives
+  /// prepared, with its raw values bit-exact.
   Status LoadPrepared(const std::string& name, const std::string& path);
 
   /// Best match for the query across the prepared base (Similarity View).

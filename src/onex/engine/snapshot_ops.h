@@ -67,8 +67,7 @@ Result<ExtendOutcome> ApplyExtend(
 Result<std::shared_ptr<const PreparedDataset>> ApplyRegroup(
     const PreparedDataset& current, std::span<const std::size_t> lengths);
 
-/// The canonical image of a prepared snapshot: the state a save/load round
-/// trip through the ONEXPREP format produces — same dataset, options and
+/// The canonical image of a prepared snapshot: same dataset, options and
 /// group membership, centroids and envelopes recomputed from members
 /// (OnexBase::Restore). Under kFixedLeader this is bitwise the input; under
 /// the running-mean policies incremental centroid updates and the restored

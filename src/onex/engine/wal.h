@@ -20,13 +20,12 @@
 namespace onex {
 
 /// The per-slot write-ahead log (DESIGN.md §13). Versioned, line-oriented
-/// text ("ONEXWAL 1", matching the ONEXBASE/ONEXPREP idiom): one header
-/// line naming the dataset, then one line per journaled mutation. Every
-/// record carries a strictly increasing sequence number and a trailing
-/// FNV-1a 64 checksum over its own bytes, so a torn tail (crash mid-append)
-/// and a flipped bit (media corruption) are both detected — the first is
-/// recovered past, the second is a structured error, never a silently
-/// wrong base.
+/// text ("ONEXWAL 1"): one header line naming the dataset, then one line
+/// per journaled mutation. Every record carries a strictly increasing
+/// sequence number and a trailing FNV-1a 64 checksum over its own bytes,
+/// so a torn tail (crash mid-append) and a flipped bit (media corruption)
+/// are both detected — the first is recovered past, the second is a
+/// structured error, never a silently wrong base.
 ///
 ///   ONEXWAL 1 "<dataset name>"
 ///   r <seq> load "<ds>" <n> {"<name>" "<label>" <len> <v...>}*   c=<fnv64>
@@ -180,31 +179,32 @@ class WalWriter {
   bool failed_ = false;
 };
 
-/// Checkpoint files. New checkpoints are written in the ONEXARENA format
-/// (core/arena_layout.h): one relocatable, section-checksummed blob holding
+/// Snapshot files. Checkpoints and SAVEBASE files are one format: ONEXARENA
+/// (core/arena_layout.h), one relocatable, section-checksummed blob holding
 /// the exact raw values, the normalized values and the full columnar group
-/// state — so a checkpoint can be mmap'd and served in place (the mapped
-/// tier, DESIGN.md §17), not just replayed. ReadCheckpointFile sniffs the
-/// magic and still reads the legacy text format ("ONEXCKPT 1": raw series
-/// plus the ONEXPREP payload, length- and FNV-guarded), so checkpoints
-/// written before the arena era recover unchanged.
-Status WriteCheckpointFile(const PreparedDataset& ds, const std::string& path,
-                           bool sync);
-Result<PreparedDataset> ReadCheckpointFile(const std::string& path,
-                                           const std::string& name);
-
-/// Maps an arena checkpoint read-only and assembles a snapshot whose base
-/// borrows the mapping (PreparedDataset::arena set, storage pinned via the
-/// base's keepalive). FailedPrecondition when the file is not an arena —
-/// legacy checkpoints cannot be served in place; callers fall back to
-/// ReadCheckpointFile.
-Result<PreparedDataset> MapCheckpointFile(const std::string& path,
-                                          const std::string& name);
-
-/// The checkpoint file's bytes (header + guarded payload) without the file
-/// write — the registry serializes outside its slot lock and then only
-/// renames inside the critical section.
+/// state, so a snapshot can be mmap'd and served in place (the mapped tier,
+/// DESIGN.md §17), not just reloaded.
+///
+/// The bytes of a snapshot file without the file write: the registry
+/// serializes outside its slot lock and then only renames inside the
+/// critical section.
 Result<std::string> EncodeCheckpoint(const PreparedDataset& ds);
+
+/// Encodes `ds` and publishes it at `path` with AtomicWriteFile: a failed
+/// write leaves whatever was at `path` untouched and no temp file behind.
+Status WriteArenaFile(const PreparedDataset& ds, const std::string& path,
+                      bool sync);
+
+/// The one reader of snapshot files (LOADBASE, checkpoint recovery and the
+/// mapped tier): ArenaMapping::Map, ParseArena, RealizeArena, assembled
+/// into a snapshot named `name`. With `in_place` the base borrows the
+/// mapping (PreparedDataset::arena set, storage pinned via the base's
+/// keepalive); otherwise every structure is deep-copied into owned storage
+/// and the mapping is released before returning. Every error names `path`;
+/// a non-empty file that is not an arena (the retired text formats
+/// included) is a ParseError.
+Result<PreparedDataset> ReadArenaFile(const std::string& path,
+                                      const std::string& name, bool in_place);
 
 /// Filesystem helpers shared by the durability layer: write-then-rename
 /// with optional fsync of file and parent directory, plus the two halves

@@ -68,7 +68,7 @@ namespace onex::net {
 ///       checkpoint; 0 = manual only). Without dir=, reports the current
 ///       durability state. Enabling twice is FailedPrecondition.
 ///   CHECKPOINT [<name>|dataset=<name>]               checkpoint a slot now
-///       Folds the slot's journal into a fresh ONEXPREP checkpoint file
+///       Folds the slot's journal into a fresh ONEXARENA checkpoint file
 ///       and restarts its WAL; the live slot adopts the checkpoint's
 ///       canonical image, so recovery from it is bit-exact. Reports the
 ///       captured log position and file size.

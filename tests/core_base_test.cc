@@ -1,5 +1,7 @@
 #include "onex/core/onex_base.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "onex/core/incremental.h"
 #include "onex/distance/euclidean.h"
 #include "onex/gen/generators.h"
 #include "onex/ts/normalization.h"
@@ -295,6 +298,114 @@ TEST(OnexBaseTest, VariableLengthSeriesAreGrouped) {
     }
   }
   EXPECT_EQ(base->TotalMembers(), ds->CountSubsequences(4, 18));
+}
+
+/// Group memberships of `base` as Restore drafts (centroids left for
+/// Restore to recompute), the form the incremental layer hands it.
+std::vector<LengthClassDraft> MembershipDrafts(const OnexBase& base) {
+  std::vector<LengthClassDraft> classes;
+  for (const LengthClass& cls : base.length_classes()) {
+    LengthClassDraft draft;
+    draft.length = cls.length;
+    for (const SimilarityGroup& g : cls.groups) {
+      GroupBuilder b(cls.length);
+      b.SetMembers({g.members().begin(), g.members().end()});
+      draft.groups.push_back(std::move(b));
+    }
+    classes.push_back(std::move(draft));
+  }
+  return classes;
+}
+
+BaseBuildOptions SteppedOptions() {
+  BaseBuildOptions opt = SmallOptions();
+  opt.length_step = 2;  // classes 4, 6, 8, 10: length 5 is free
+  return opt;
+}
+
+TEST(OnexBaseRestoreTest, RestoreValidatesArguments) {
+  Result<OnexBase> base = OnexBase::Build(NormalizedWalks(), SmallOptions());
+  ASSERT_TRUE(base.ok()) << base.status();
+  auto ds = base->shared_dataset();
+  // Null dataset.
+  EXPECT_FALSE(OnexBase::Restore(nullptr, base->options(), {}, 0).ok());
+  // No classes.
+  EXPECT_FALSE(OnexBase::Restore(ds, base->options(), {}, 0).ok());
+  // Unsorted classes.
+  {
+    std::vector<LengthClassDraft> classes(2);
+    classes[0].length = 8;
+    classes[1].length = 4;
+    GroupBuilder g8(8), g4(4);
+    g8.SetMembers({{0, 0, 8}});
+    g4.SetMembers({{0, 0, 4}});
+    classes[0].groups.push_back(g8);
+    classes[1].groups.push_back(g4);
+    EXPECT_FALSE(
+        OnexBase::Restore(ds, base->options(), std::move(classes), 0).ok());
+  }
+  // Member length disagrees with its class.
+  {
+    std::vector<LengthClassDraft> classes(1);
+    classes[0].length = 6;
+    GroupBuilder g(6);
+    g.SetMembers({{0, 0, 4}});
+    classes[0].groups.push_back(g);
+    EXPECT_FALSE(
+        OnexBase::Restore(ds, base->options(), std::move(classes), 0).ok());
+  }
+}
+
+/// Regression: Build() never materializes a memberless length class, so
+/// Restore must skip an empty draft instead of installing a LengthClass
+/// every drift ratio and group scan would have to special-case. Before
+/// the fix the empty class leaked through and the restored base disagreed
+/// with the one it came from.
+TEST(OnexBaseRestoreTest, RestoreSkipsEmptyLengthClass) {
+  Result<OnexBase> base = OnexBase::Build(NormalizedWalks(), SteppedOptions());
+  ASSERT_TRUE(base.ok()) << base.status();
+  std::vector<LengthClassDraft> classes = MembershipDrafts(*base);
+  ASSERT_EQ(classes.front().length, 4u);
+  LengthClassDraft empty;
+  empty.length = 5;
+  classes.insert(classes.begin() + 1, std::move(empty));
+
+  Result<OnexBase> back = OnexBase::Restore(
+      base->shared_dataset(), base->options(), std::move(classes), 0);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->length_classes().size(), base->length_classes().size());
+  EXPECT_EQ(back->TotalGroups(), base->TotalGroups());
+  EXPECT_EQ(back->TotalMembers(), base->TotalMembers());
+  for (std::size_t c = 0; c < base->length_classes().size(); ++c) {
+    const LengthClass& want = base->length_classes()[c];
+    const LengthClass& got = back->length_classes()[c];
+    ASSERT_EQ(got.length, want.length);
+    EXPECT_GT(got.total_members, 0u);
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    for (std::size_t g = 0; g < want.groups.size(); ++g) {
+      EXPECT_TRUE(std::ranges::equal(got.groups[g].members(),
+                                     want.groups[g].members()));
+    }
+  }
+  // The maintenance view of the restored base stays finite everywhere.
+  for (const LengthClassDrift& d : ComputeDrift(*back)) {
+    EXPECT_TRUE(std::isfinite(d.fraction()));
+    EXPECT_GE(d.members, 1u);
+  }
+}
+
+/// Drafts whose every class is empty cannot restore: there is no group
+/// structure to serve queries from.
+TEST(OnexBaseRestoreTest, RestoreRejectsOnlyEmptyClasses) {
+  Result<OnexBase> base = OnexBase::Build(NormalizedWalks(), SteppedOptions());
+  ASSERT_TRUE(base.ok()) << base.status();
+  std::vector<LengthClassDraft> classes(1);
+  classes[0].length = 4;
+  EXPECT_EQ(OnexBase::Restore(base->shared_dataset(), base->options(),
+                              std::move(classes), 0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CentroidPolicyTest, Names) {

@@ -26,7 +26,6 @@
 #include "onex/common/random.h"
 #include "onex/common/string_utils.h"
 #include "onex/engine/engine.h"
-#include "onex/engine/snapshot_io.h"
 #include "onex/json/json.h"
 #include "test_util.h"
 
@@ -420,12 +419,13 @@ TEST(EngineTierDiff, CrashBetweenArenaWriteAndWalRotationIsInert) {
   fs::remove_all(dir);
 }
 
-/// Legacy data dirs (pre-arena ONEXCKPT checkpoints) keep recovering: the
-/// reader sniffs the format per file, and a mapped-tier restart falls back
-/// to materializing when the checkpoint is not an arena.
-TEST(EngineTierDiff, LegacyCheckpointFallsBackToMaterializedRecovery) {
+/// Pre-arena data dirs are not read: ONEXARENA is the only snapshot
+/// format, so a text "ONEXCKPT 1" checkpoint (the retired framing) fails
+/// recovery with a structured ParseError naming the file, on both the
+/// mapped and the materialized restart path. Never UB, never a crash,
+/// never a silently different base.
+TEST(EngineTierDiff, LegacyCheckpointFailsRecoveryWithParseError) {
   const std::string dir = FreshDir("legacy");
-  std::string transcript;
   std::string ckpt_path;
   {
     Engine subject;
@@ -434,44 +434,40 @@ TEST(EngineTierDiff, LegacyCheckpointFallsBackToMaterializedRecovery) {
         subject.LoadDataset("A", onex::testing::SmallDataset(4, 16, 17)).ok());
     ASSERT_TRUE(subject.Prepare("A", SmallOptions()).ok());
     ASSERT_TRUE(subject.registry().Checkpoint("A").ok());
-    transcript = QueryTranscript(subject, "A");
     for (const auto& entry : fs::directory_iterator(dir + "/A")) {
       const std::string base = entry.path().filename().string();
       if (base.rfind("ckpt-", 0) == 0) ckpt_path = entry.path().string();
     }
     ASSERT_FALSE(ckpt_path.empty());
   }
-  // Simulate a legacy dir: overwrite the arena with a text "ONEXCKPT 1"
-  // checkpoint of the same state, written exactly as the retired encoder
-  // did (header + raw section + ONEXPREP payload, FNV-guarded body).
+  // Overwrite the arena with a text checkpoint in the retired framing:
+  // header, raw section, then the ONEXPREP payload, FNV-guarded.
   {
-    Engine writer;
-    ASSERT_TRUE(
-        writer.LoadDataset("A", onex::testing::SmallDataset(4, 16, 17)).ok());
-    ASSERT_TRUE(writer.Prepare("A", SmallOptions()).ok());
-    Result<std::shared_ptr<const PreparedDataset>> snap = writer.Get("A");
-    ASSERT_TRUE(snap.ok());
     std::ostringstream payload;
-    payload << "raw " << (*snap)->raw->size() << '\n';
-    for (const TimeSeries& ts : (*snap)->raw->series()) {
-      payload << "s \"" << json::EscapeString(ts.name()) << "\" \""
-              << json::EscapeString(ts.label()) << "\" " << ts.length();
+    const Dataset raw = onex::testing::SmallDataset(4, 16, 17);
+    payload << "raw " << raw.size() << '\n';
+    for (const TimeSeries& ts : raw.series()) {
+      payload << "s \"" << json::EscapeString(ts.name()) << "\" \"\" "
+              << ts.length();
       for (const double v : ts.values()) payload << StrFormat(" %.17g", v);
       payload << '\n';
     }
-    ASSERT_TRUE(WritePreparedPayload(**snap, payload).ok());
+    payload << "ONEXPREP 1 minmax-dataset 0 1 0\nONEXBASE 1\n";
     const std::string body = payload.str();
     std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
     out << StrFormat("ONEXCKPT 1 %zu %016llx\n", body.size(),
                      static_cast<unsigned long long>(Fnv1a64(body)))
         << body;
   }
-  Engine recovered;
-  ASSERT_TRUE(recovered.EnableDurability(TestDurability(dir)).ok());
-  EXPECT_EQ(TierOf(recovered, "A"), "resident")
-      << "legacy checkpoints cannot be served in place";
-  EXPECT_EQ(recovered.registry().mapped_bytes(), 0u);
-  EXPECT_EQ(QueryTranscript(recovered, "A"), transcript);
+  for (const bool mapped_tier : {true, false}) {
+    DatasetRegistryOptions registry_options;
+    registry_options.mapped_tier = mapped_tier;
+    Engine recovered(registry_options);
+    const Status s = recovered.EnableDurability(TestDurability(dir));
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << s;
+    EXPECT_NE(s.message().find(ckpt_path), std::string::npos) << s;
+    EXPECT_FALSE(recovered.Get("A").ok());
+  }
   fs::remove_all(dir);
 }
 

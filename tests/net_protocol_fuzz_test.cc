@@ -3,6 +3,8 @@
 /// test — every input yields a clean error Status or a well-formed
 /// response; never a crash, a hang, or an allocation proportional to a
 /// number someone typed into a frame. Run under ASan in CI.
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -656,6 +658,44 @@ TEST(ProtocolFuzzTest, HostileArenaFilesThroughLoadbaseNeverCrash) {
     b.replace(64 + 32, 8, b, 64, 8);  // desc1 kind/index := desc0's
     refnv(&b);
     EXPECT_FALSE(loadbase(b)["ok"].as_bool()) << "duplicate section";
+  }
+
+  // Paths that hold no arena at all: a snapshot in the retired ONEXPREP
+  // text format, an empty file, a directory, a FIFO with no writer (which
+  // used to block the executing thread forever). Each is a clean error and
+  // the session keeps serving.
+  {
+    const json::Value v = loadbase(
+        "ONEXPREP 1 minmax-dataset 0 1 0\nONEXBASE 1\ndataset \"s\" 4\n");
+    EXPECT_FALSE(v["ok"].as_bool()) << "ONEXPREP text";
+    EXPECT_EQ(v["code"].as_string(), "ParseError") << v.Dump();
+  }
+  {
+    const json::Value v = loadbase("");
+    EXPECT_FALSE(v["ok"].as_bool()) << "empty file";
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << v.Dump();
+  }
+  {
+    const json::Value v = ExecuteCommand(
+        &engine, &session, *ParseCommandLine("LOADBASE h " + dir));
+    CheckResponse(v, "LOADBASE <directory>");
+    EXPECT_FALSE(v["ok"].as_bool()) << "directory";
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << v.Dump();
+  }
+  {
+    const std::string fifo = dir + "/no-writer.fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    const json::Value v = ExecuteCommand(
+        &engine, &session, *ParseCommandLine("LOADBASE h " + fifo));
+    CheckResponse(v, "LOADBASE <fifo>");
+    EXPECT_FALSE(v["ok"].as_bool()) << "fifo";
+    EXPECT_EQ(v["code"].as_string(), "InvalidArgument") << v.Dump();
+    std::remove(fifo.c_str());
+  }
+  {
+    const json::Value v = ExecuteCommand(
+        &engine, &session, *ParseCommandLine("MATCH s q=0:2:8"));
+    EXPECT_TRUE(v["ok"].as_bool()) << v.Dump();
   }
 
   // Random storm: flips (half with an honest re-checksum so they pierce the

@@ -1,13 +1,23 @@
 #include "onex/net/protocol.h"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "onex/common/string_utils.h"
 
 namespace onex::net {
 namespace {
@@ -797,6 +807,39 @@ TEST(ProtocolTest, LoadAcceptsKeyValueForm) {
                    .as_bool());
 }
 
+/// The answer fields a reload must reproduce, distances printed at %.17g
+/// so every bit counts.
+std::string AnswerFingerprint(const json::Value& v) {
+  std::string out;
+  auto one = [&out](const json::Value& m) {
+    out += StrFormat("%s %.17g:%.17g:%.17g g%.17g %.17g %.17g %.17g;",
+                     m["series_name"].as_string().c_str(),
+                     m["series"].as_number(), m["start"].as_number(),
+                     m["length"].as_number(), m["group"].as_number(),
+                     m["dtw"].as_number(), m["normalized_dtw"].as_number(),
+                     m["rep_dtw"].as_number());
+  };
+  if (v["match"].is_object()) one(v["match"]);
+  for (const json::Value& m : v["matches"].as_array()) one(m);
+  return out;
+}
+
+/// MATCH and KNN answers for `name`, cascade on and exhaustive.
+std::vector<std::string> Answers(Engine* engine, const std::string& name) {
+  std::vector<std::string> out;
+  for (const char* query :
+       {"MATCH # q=0:2:8", "MATCH # q=3:1:6 exhaustive=1",
+        "KNN # q=0:0:8 k=3", "KNN # q=2:4:7 k=5 exhaustive=1"}) {
+    std::string line = query;
+    line.replace(line.find('#'), 1, name);
+    const json::Value v = ExecuteCommand(engine, *ParseCommandLine(line));
+    EXPECT_TRUE(v["ok"].as_bool()) << line << ": " << v.Dump();
+    out.push_back(AnswerFingerprint(v));
+    EXPECT_FALSE(out.back().empty()) << line;
+  }
+  return out;
+}
+
 TEST(ProtocolTest, SaveAndLoadBaseFlow) {
   const std::string path = ::testing::TempDir() + "/onex_proto_base.onex";
   Engine engine;
@@ -817,7 +860,80 @@ TEST(ProtocolTest, SaveAndLoadBaseFlow) {
   const json::Value stats =
       ExecuteCommand(&engine, *ParseCommandLine("STATS restored"));
   EXPECT_TRUE(stats["prepared"].as_bool());
+
+  // The reload answers exactly as the original and carries the original
+  // raw values bit for bit (an arena stores them verbatim).
+  EXPECT_EQ(Answers(&engine, "restored"), Answers(&engine, "s"));
+  Result<std::shared_ptr<const PreparedDataset>> a = engine.Get("s");
+  Result<std::shared_ptr<const PreparedDataset>> b = engine.Get("restored");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ((*a)->raw->size(), (*b)->raw->size());
+  for (std::size_t s = 0; s < (*a)->raw->size(); ++s) {
+    const std::vector<double>& want = (*(*a)->raw)[s].values();
+    const std::vector<double>& got = (*(*b)->raw)[s].values();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "series " << s;
+  }
   std::remove(path.c_str());
+}
+
+/// Regression: SAVEBASE used to stream into the target through an unchecked
+/// ofstream, so a failed write reported Ok and left the previous save
+/// truncated. It now writes a temp file, flushes, fsyncs and renames: a
+/// write that hits the file-size limit returns IoError, the previous save
+/// still loads to the original answers, and no temp file is left behind.
+TEST(ProtocolTest, FailedSaveBaseKeepsThePreviousFile) {
+  const std::string dir = ::testing::TempDir() + "/onex_proto_savefail";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string path = dir + "/base.onex";
+  Engine engine;
+  for (const char* line :
+       {"GEN s sine num=6 len=48 seed=5", "PREPARE s st=0.2 maxlen=16"}) {
+    const json::Value v = ExecuteCommand(&engine, *ParseCommandLine(line));
+    ASSERT_TRUE(v["ok"].as_bool()) << line << ": " << v.Dump();
+  }
+  const std::vector<std::string> answers = Answers(&engine, "s");
+  ASSERT_TRUE(ExecuteCommand(&engine, *ParseCommandLine("SAVEBASE s " + path))
+                  ["ok"]
+                      .as_bool());
+  const auto good_size = std::filesystem::file_size(path);
+  ASSERT_GT(good_size, 1024u);
+
+  // The over-limit save runs in a child so the file-size limit never
+  // touches this process; SIGXFSZ ignored turns the limit into EFBIG.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{static_cast<rlim_t>(good_size / 2),
+                       static_cast<rlim_t>(good_size / 2)};
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    const json::Value v =
+        ExecuteCommand(&engine, *ParseCommandLine("SAVEBASE s " + path));
+    if (v["ok"].as_bool()) ::_exit(1);
+    ::_exit(v["code"].as_string() == "IoError" ? 0 : 2);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child status " << wstatus;
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "1: SAVEBASE reported Ok, 2: wrong error code, 3: setrlimit failed";
+
+  EXPECT_EQ(std::filesystem::file_size(path), good_size);
+  const json::Value loaded = ExecuteCommand(
+      &engine, *ParseCommandLine("LOADBASE restored " + path));
+  ASSERT_TRUE(loaded["ok"].as_bool()) << loaded.Dump();
+  EXPECT_EQ(Answers(&engine, "restored"), answers);
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"base.onex"});
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

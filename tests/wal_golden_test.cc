@@ -5,7 +5,7 @@
 /// different record), duplicated tails rejected as non-monotone history,
 /// and decode-side caps — a record body can declare any count it likes,
 /// but allocation only ever follows bytes actually present. Mirrors
-/// core_base_io_golden_test; run under ASan in CI.
+/// core_arena_golden_test; run under ASan in CI.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -339,8 +339,9 @@ class WalCheckpointFileTest : public ::testing::Test {
 };
 
 TEST_F(WalCheckpointFileTest, RoundTripIsExact) {
-  ASSERT_TRUE(WriteCheckpointFile(snapshot_, path_, false).ok());
-  Result<PreparedDataset> loaded = ReadCheckpointFile(path_, "ckpt");
+  ASSERT_TRUE(WriteArenaFile(snapshot_, path_, false).ok());
+  Result<PreparedDataset> loaded =
+      ReadArenaFile(path_, "ckpt", /*in_place=*/false);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   // Raw values round-trip bit-exactly (stored verbatim, not denormalized).
   ASSERT_EQ(loaded->raw->size(), snapshot_.raw->size());
@@ -372,7 +373,7 @@ TEST_F(WalCheckpointFileTest, RoundTripIsExact) {
 }
 
 TEST_F(WalCheckpointFileTest, FlippedBytesAreRejectedOrExact) {
-  ASSERT_TRUE(WriteCheckpointFile(snapshot_, path_, false).ok());
+  ASSERT_TRUE(WriteArenaFile(snapshot_, path_, false).ok());
   std::string bytes;
   {
     std::ifstream in(path_, std::ios::binary);
@@ -391,7 +392,8 @@ TEST_F(WalCheckpointFileTest, FlippedBytesAreRejectedOrExact) {
       std::ofstream out(path_, std::ios::binary | std::ios::trunc);
       out << mutated;
     }
-    Result<PreparedDataset> loaded = ReadCheckpointFile(path_, "ckpt");
+    Result<PreparedDataset> loaded =
+        ReadArenaFile(path_, "ckpt", /*in_place=*/false);
     // The whole payload sits under one FNV checksum: any flip is either
     // rejected cleanly or — impossible in practice — yields the identical
     // state. Never UB, never a silently different base.
