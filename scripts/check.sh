@@ -62,6 +62,10 @@ done
 ./onex_cli 7741 "PREPARE demo st=0.2 maxlen=16" | grep -q '"ok": true'
 ./onex_cli 7742 "KNN demo q=0:0:12 k=2" | grep -q '"ok": true'
 ./onex_cli 7743 "MATCH datasets=demo q=1:2:10" | grep -q '"ok": true'
+# A datasets= fan-out coordinated by a node that does not own demo: the
+# shard query and the merged answer cross the real wire.
+./onex_cli 7741 "BATCH datasets=demo q=0:0:12;1:2:10 k=2" |
+  grep -q '"dataset": "demo"'
 
 # Fault injection: node 2 is demo's primary; the coordinator must notice,
 # promote a caught-up replica, and keep serving bit-identical answers.
@@ -69,6 +73,10 @@ kill -9 "$N2"
 ./onex_cli 7741 CLUSTER | grep -q '"ok": true'
 ./onex_cli 7741 "KNN demo q=0:0:12 k=2" | grep -q '"ok": true'
 ./onex_cli 7742 "MATCH demo q=1:2:10" | grep -q '"ok": true'
+# Node 0 owns demo after the promotion (HRW among the survivors), so node 1
+# coordinates the fan-out.
+./onex_cli 7742 "BATCH datasets=demo q=0:0:12;1:2:10 k=2" |
+  grep -q '"dataset": "demo"'
 
 cleanup_cluster
 trap - EXIT

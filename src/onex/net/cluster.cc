@@ -1,12 +1,10 @@
 #include "onex/net/cluster.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
 #include "onex/common/string_utils.h"
 #include "onex/engine/wal.h"
-#include "onex/net/cluster_merge.h"
 
 namespace onex::net {
 namespace {
@@ -44,36 +42,6 @@ bool IsAlwaysLocal(const std::string& verb) {
          verb == "REPLAPPLY" || verb == "REPLSTATUS";
 }
 
-/// Mirror of the executor's per-verb dataset resolution (protocol.cc), so
-/// the coordinator routes exactly the dataset the owner will act on. A
-/// resolution failure is not an error here — the command runs locally and
-/// the executor produces its canonical message.
-Result<std::string> RouteDataset(const Command& cmd, const Session& session) {
-  if (cmd.verb == "GEN") {
-    if (cmd.args.empty()) return Status::InvalidArgument("unroutable");
-    return cmd.args[0];
-  }
-  if (cmd.verb == "LOAD") {
-    if (!cmd.args.empty()) return cmd.args[0];
-    const auto it = cmd.options.find("name");
-    if (it != cmd.options.end() && !it->second.empty()) return it->second;
-    return Status::InvalidArgument("unroutable");
-  }
-  if (cmd.verb == "USE") {
-    if (!cmd.args.empty()) return cmd.args[0];
-    for (const char* key : {"name", "dataset"}) {
-      const auto it = cmd.options.find(key);
-      if (it != cmd.options.end()) return it->second;
-    }
-    return Status::InvalidArgument("unroutable");
-  }
-  if (!cmd.args.empty()) return cmd.args[0];
-  const auto it = cmd.options.find("dataset");
-  if (it != cmd.options.end()) return it->second;
-  if (!session.dataset.empty()) return session.dataset;
-  return Status::InvalidArgument("unroutable");
-}
-
 /// Re-serializes a command for the owning shard: same verb, args and
 /// options, plus the resolved dataset (the shard session is fresh) and the
 /// fwd=1 pin that stops the shard from routing it onward.
@@ -91,46 +59,11 @@ WireRequest BuildForward(const Command& cmd, const std::string& dataset) {
   return req;
 }
 
-/// Single-dataset shard query for the datasets= fan-out. MATCH becomes
-/// KNN k=1 on the shard — the same reduction DoMatchMulti applies — so the
-/// coordinator merge sees uniform k-lists.
-WireRequest BuildShardQuery(const Command& cmd, const std::string& dataset) {
-  const bool match = cmd.verb == "MATCH";
-  std::string line = cmd.verb == "BATCH" ? "BATCH" : "KNN";
-  for (const auto& [key, value] : cmd.options) {
-    if (key == "datasets" || key == "dataset" || key == "fwd") continue;
-    if (match && key == "k") continue;  // MATCH ignores k; the shard must too.
-    line += " " + key + "=" + value;
-  }
-  if (match) line += " k=1";
-  line += " dataset=" + dataset + " fwd=1";
-  WireRequest req;
-  req.command = std::move(line);
-  req.values = cmd.payload;
-  return req;
-}
-
-/// Cuts the next match's values out of a shard response's float64 section.
-std::vector<double> SliceValues(const std::vector<double>& values,
-                                std::size_t* cursor, std::size_t length) {
-  const std::size_t begin = std::min(*cursor, values.size());
-  const std::size_t end = std::min(begin + length, values.size());
-  *cursor = end;
-  return std::vector<double>(values.begin() + static_cast<std::ptrdiff_t>(begin),
-                             values.begin() + static_cast<std::ptrdiff_t>(end));
-}
-
 json::Value Ok() {
   json::Value v = json::Value::MakeObject();
   v.Set("ok", true);
   return v;
 }
-
-/// Allocation caps shared with protocol.cc (the single-node executor keeps
-/// its own copies in an anonymous namespace; the values must match so the
-/// coordinator's combined-volume error is byte-identical to the oracle's).
-constexpr long long kMaxKnnK = 100'000;
-constexpr std::size_t kMaxBatchSpecs = 1024;
 
 Result<std::pair<std::string, std::uint16_t>> SplitHostPort(
     const std::string& endpoint) {
@@ -351,7 +284,7 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
     // Sync replication: the ack floor this write reaches before we answer
     // is exactly what promotion relies on — an acked write exists, bit for
     // bit, on every live peer.
-    const Result<std::string> dataset = RouteDataset(cmd, *session);
+    const Result<std::string> dataset = ResolveDataset(cmd, *session);
     if (dataset.ok()) {
       const Result<SlotDurability> d = engine->registry().Durability(*dataset);
       if (d.ok() && d->durable && d->last_seq > 0) {
@@ -360,25 +293,6 @@ json::Value ClusterNode::ExecuteLocal(Engine* engine, Session* session,
     }
   }
   return body;
-}
-
-WireResponse ClusterNode::ExecuteLocalWire(Engine* engine,
-                                           const WireRequest& request,
-                                           const ExecContext& ctx) {
-  WireResponse out;
-  Result<Command> parsed = ParseCommandLine(request.command);
-  if (!parsed.ok()) {
-    out.body = ErrorResponse(parsed.status());
-    return out;
-  }
-  Command cmd = std::move(parsed).value();
-  if (cmd.payload.empty()) cmd.payload = request.values;
-  ExecContext local = ctx;
-  local.cluster = nullptr;
-  local.out_values = &out.values;
-  Session scratch;  // Shard-side requests always carry dataset= explicitly.
-  out.body = ExecuteLocal(engine, &scratch, cmd, local);
-  return out;
 }
 
 json::Value ClusterNode::RouteSingle(Engine* engine, Session* session,
@@ -439,7 +353,7 @@ Result<std::vector<WireResponse>> ClusterNode::ScatterPerDataset(
     for (const auto& [owner, indices] : groups) {
       if (owner == options_.self) {
         for (const std::size_t i : indices) {
-          results[i] = ExecuteLocalWire(engine, requests[i], ctx);
+          results[i] = ExecuteShardQuery(engine, requests[i], ctx);
           done[i] = true;
         }
         continue;
@@ -476,178 +390,6 @@ Result<std::vector<WireResponse>> ClusterNode::ScatterPerDataset(
     }
   }
   return results;
-}
-
-json::Value ClusterNode::ScatterMulti(Engine* engine, const Command& cmd,
-                                      const ExecContext& ctx) {
-  const bool batch = cmd.verb == "BATCH";
-  const bool knn = cmd.verb == "KNN";
-  Result<std::vector<std::string>> parsed =
-      ParseDatasetsOption(cmd.options.at("datasets"));
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  const std::vector<std::string> names = std::move(parsed).value();
-
-  // k as the merge truncates it. An unparseable or out-of-range k is left
-  // to the shards, whose rejection (identical to the single-node message)
-  // comes back as the first per-dataset error below.
-  long long k = 1;
-  bool k_known = true;
-  if (!cmd.options.count("k") || cmd.verb == "MATCH") {
-    k = batch ? 1 : (knn ? 3 : 1);
-  } else {
-    const Result<long long> kr = ParseInt(cmd.options.at("k"));
-    if (kr.ok() && *kr >= 1 && *kr <= kMaxKnnK) {
-      k = *kr;
-    } else {
-      k_known = false;
-    }
-  }
-  if (batch && k_known) {
-    const auto qit = cmd.options.find("q");
-    const std::size_t specs =
-        qit == cmd.options.end()
-            ? 0
-            : SplitKeepEmpty(qit->second, ';').size();
-    // The shards each enforce specs x k; only the coordinator sees the
-    // full specs x datasets x k volume, mirroring DoBatchMulti's cap.
-    if (specs > 0 && specs <= kMaxBatchSpecs &&
-        static_cast<long long>(specs * names.size()) * k > kMaxKnnK) {
-      return ErrorResponse(Status::InvalidArgument(StrFormat(
-          "BATCH result volume (queries x datasets x k) is capped at %lld",
-          kMaxKnnK)));
-    }
-  }
-
-  std::vector<WireRequest> requests;
-  requests.reserve(names.size());
-  for (const std::string& name : names) {
-    requests.push_back(BuildShardQuery(cmd, name));
-  }
-  Result<std::vector<WireResponse>> scattered =
-      ScatterPerDataset(engine, names, requests, ctx);
-  if (!scattered.ok()) return ErrorResponse(scattered.status());
-  const std::vector<WireResponse>& responses = *scattered;
-
-  // A shard-side rejection wins in user dataset order, exactly where the
-  // single-node loop would have stopped.
-  for (const WireResponse& r : responses) {
-    if (!r.body["ok"].as_bool()) return r.body;
-  }
-  const std::size_t top_k = static_cast<std::size_t>(k < 1 ? 1 : k);
-
-  if (!batch) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const json::Value& body = responses[i].body;
-      std::size_t cursor = 0;
-      for (const json::Value& m : body["matches"].as_array()) {
-        ShardMatch c;
-        c.dataset = names[i];
-        c.match = m;
-        c.match.Set("dataset", names[i]);
-        c.values = SliceValues(responses[i].values, &cursor,
-                               static_cast<std::size_t>(m["length"].as_number()));
-        cands.push_back(std::move(c));
-      }
-      if (!body["matches"].as_array().empty()) {
-        AccumulateStats(&stats, body["stats"]);
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, top_k);
-
-    json::Value v = Ok();
-    if (knn) {
-      json::Value arr = json::Value::MakeArray();
-      for (const ShardMatch& c : cands) {
-        arr.Append(c.match);
-        if (ctx.out_values != nullptr) {
-          ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                                 c.values.end());
-        }
-      }
-      v.Set("matches", std::move(arr));
-      if (any_stats) v.Set("stats", std::move(stats));
-    } else {
-      if (cands.empty()) {
-        return ErrorResponse(
-            Status::NotFound("no match in any of the named datasets"));
-      }
-      v.Set("match", cands.front().match);
-      v.Set("stats", std::move(stats));
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(),
-                               cands.front().values.begin(),
-                               cands.front().values.end());
-      }
-    }
-    return v;
-  }
-
-  // BATCH: per-query merge across datasets, in user dataset order.
-  struct ShardEntry {
-    std::vector<ShardMatch> cands;
-    json::Value stats;
-    bool has_stats = false;
-  };
-  std::vector<std::vector<ShardEntry>> per_dataset(names.size());
-  std::size_t num_queries = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const json::Value& body = responses[i].body;
-    std::size_t cursor = 0;
-    for (const json::Value& entry : body["results"].as_array()) {
-      ShardEntry e;
-      for (const json::Value& m : entry["matches"].as_array()) {
-        ShardMatch c;
-        c.dataset = names[i];
-        c.match = m;
-        c.match.Set("dataset", names[i]);
-        c.values = SliceValues(responses[i].values, &cursor,
-                               static_cast<std::size_t>(m["length"].as_number()));
-        e.cands.push_back(std::move(c));
-      }
-      if (!e.cands.empty()) {
-        e.stats = entry["stats"];
-        e.has_stats = true;
-      }
-      per_dataset[i].push_back(std::move(e));
-    }
-    num_queries = std::max(num_queries, per_dataset[i].size());
-  }
-
-  json::Value v = Ok();
-  json::Value results = json::Value::MakeArray();
-  for (std::size_t qi = 0; qi < num_queries; ++qi) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (qi >= per_dataset[i].size()) continue;
-      ShardEntry& e = per_dataset[i][qi];
-      for (ShardMatch& c : e.cands) cands.push_back(std::move(c));
-      if (e.has_stats) {
-        AccumulateStats(&stats, e.stats);
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, top_k);
-    json::Value entry = json::Value::MakeObject();
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
-      }
-    }
-    entry.Set("matches", std::move(arr));
-    if (any_stats) entry.Set("stats", std::move(stats));
-    results.Append(std::move(entry));
-  }
-  v.Set("results", std::move(results));
-  return v;
 }
 
 json::Value ClusterNode::ScatterList(Engine* engine) {
@@ -766,12 +508,16 @@ json::Value ClusterNode::Execute(Engine* engine, Session* session,
   }
   if (cmd.verb == "LIST") return ScatterList(engine);
   if (cmd.verb == "DATASETS") return ScatterDatasets(engine);
-  if ((cmd.verb == "MATCH" || cmd.verb == "KNN" || cmd.verb == "BATCH") &&
-      cmd.options.count("datasets") != 0) {
-    return ScatterMulti(engine, cmd, ctx);
+  if (IsFanOut(cmd)) {
+    return ExecuteFanOut(cmd, ctx,
+                         [&](const std::vector<std::string>& names,
+                             const std::vector<WireRequest>& requests) {
+                           return ScatterPerDataset(engine, names, requests,
+                                                    ctx);
+                         });
   }
   if (IsDatasetScoped(cmd.verb)) {
-    const Result<std::string> dataset = RouteDataset(cmd, *session);
+    const Result<std::string> dataset = ResolveDataset(cmd, *session);
     if (!dataset.ok()) {
       // Let the local executor produce its canonical resolution error.
       return ExecuteLocal(engine, session, cmd, ctx);

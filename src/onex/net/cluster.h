@@ -113,8 +113,6 @@ class ClusterNode {
   /// promotion guarantee).
   json::Value ExecuteLocal(Engine* engine, Session* session,
                            const Command& cmd, const ExecContext& ctx);
-  WireResponse ExecuteLocalWire(Engine* engine, const WireRequest& request,
-                                const ExecContext& ctx);
 
   /// Routes one dataset-scoped command to its owner (local or forwarded).
   json::Value RouteSingle(Engine* engine, Session* session,
@@ -128,11 +126,6 @@ class ClusterNode {
   Result<std::vector<WireResponse>> ScatterPerDataset(
       Engine* engine, const std::vector<std::string>& names,
       const std::vector<WireRequest>& requests, const ExecContext& ctx);
-
-  /// datasets= fan-out for MATCH/KNN/BATCH: scatter per dataset, then the
-  /// same deterministic merge the single-node path uses (cluster_merge.h).
-  json::Value ScatterMulti(Engine* engine, const Command& cmd,
-                           const ExecContext& ctx);
 
   json::Value ScatterList(Engine* engine);
   json::Value ScatterDatasets(Engine* engine);

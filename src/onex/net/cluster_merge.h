@@ -7,15 +7,15 @@
 
 #include "onex/common/result.h"
 #include "onex/json/json.h"
+#include "onex/net/client.h"
 
 namespace onex::net {
 
-/// Deterministic top-k merge shared by the coordinator's scatter-gather path
-/// and the single-node `datasets=` fan-out (DESIGN.md §16). Both paths build
-/// the same candidates from per-dataset match lists and run the same ordering,
-/// which is what makes a cluster answer bitwise equal to the single-node
-/// oracle: the merge must not depend on which shard answered first, how
-/// datasets were assigned to nodes, or thread scheduling.
+/// Deterministic top-k merge of the `datasets=` fan-out (DESIGN.md §16),
+/// run by single nodes and cluster coordinators alike. A cluster answer is
+/// bitwise equal to the single-node one because the merge does not depend on
+/// which shard answered first, how datasets were assigned to nodes, or
+/// thread scheduling.
 
 /// One candidate match from one dataset. `match` is the per-match response
 /// object (MatchToJson shape) with a "dataset" field added; `values` is the
@@ -46,6 +46,21 @@ void MergeTopK(std::vector<ShardMatch>* candidates, std::size_t k);
 /// same sequence (double addition is order-sensitive; these are counters, but
 /// the discipline keeps the contract exact).
 void AccumulateStats(json::Value* total, const json::Value& stats);
+
+/// Merges the per-dataset shard answers of a MATCH, KNN or BATCH fan-out
+/// (`responses[i]` answers a KNN or BATCH on `names[i]`) into the response
+/// body of `verb`. The first failing body in dataset order is the answer.
+/// Otherwise every match gains a "dataset" field and takes its values from
+/// its response's value section, cut by the match's "length"; stats are
+/// summed in dataset order and each query's candidates go through MergeTopK
+/// with `k`. MATCH answers the best match ("match" and "stats", NotFound
+/// when no dataset has one), KNN its "matches" (and "stats"), BATCH one such
+/// entry per query under "results". When `out_values` is non-null the
+/// merged matches' values are appended to it in response order.
+json::Value MergeFanOut(const std::string& verb, std::size_t k,
+                        const std::vector<std::string>& names,
+                        const std::vector<WireResponse>& responses,
+                        std::vector<double>* out_values);
 
 /// Parses a `datasets=a,b,c` option value: comma-separated, order-preserving.
 /// Empty entries and duplicates are InvalidArgument — a duplicate would

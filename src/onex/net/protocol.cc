@@ -80,54 +80,8 @@ Status NeedArgs(const Command& cmd, std::size_t n) {
   return Status::OK();
 }
 
-/// Allocation caps (see the header's protocol table): a single text frame
-/// must not be able to command an unbounded allocation.
-constexpr long long kMaxGenPoints = 2'000'000;
-constexpr long long kMaxCatalogPoints = 100'000;
-constexpr long long kMaxKnnK = 100'000;
-constexpr long long kMaxThresholdPairs = 1'000'000;
-constexpr std::size_t kMaxBatchSpecs = 1024;
-/// A streaming tail append is a poll cycle's worth of points, not a bulk
-/// load; bulk ingest goes through LOAD/GEN.
-constexpr std::size_t kMaxExtendPoints = 100'000;
-/// Background-checkpoint threshold: one frame must not be able to arm a
-/// policy that never fires (overflow) or fires pathologically.
-constexpr long long kMaxCheckpointEvery = 1'000'000'000;
-/// Analytics result sizing (ANOMALY top/minpts, MOTIF top/discords): far
-/// above any useful report, low enough that a hostile frame cannot command
-/// an unbounded allocation.
-constexpr long long kMaxAnalyticsTop = 100'000;
-/// CHANGEPOINT run-length cap ceiling: the recursion keeps maxrun
-/// hypotheses alive, so the option bounds live memory.
-constexpr long long kMaxChangepointRun = 100'000;
-/// FORECAST horizon: the response carries horizon points twice (raw +
-/// normalized units).
-constexpr long long kMaxForecastHorizon = 100'000;
-
-/// Resolves the dataset a command targets: positional name, then
-/// `dataset=<name>`, then the session's USE default.
-Result<std::string> DatasetArg(const Command& cmd, const Session& session) {
-  if (!cmd.args.empty()) return cmd.args[0];
-  const auto it = cmd.options.find("dataset");
-  if (it != cmd.options.end()) return it->second;
-  if (!session.dataset.empty()) return session.dataset;
-  return Status::InvalidArgument(
-      cmd.verb +
-      " needs a dataset: positional name, dataset=<name>, or USE <name>");
-}
-
-/// Name argument for verbs that must not fall back to the session default
-/// (DROP, USE): positional or name=/dataset= only.
-Result<std::string> ExplicitNameArg(const Command& cmd) {
-  if (!cmd.args.empty()) return cmd.args[0];
-  for (const char* key : {"name", "dataset"}) {
-    const auto it = cmd.options.find(key);
-    if (it != cmd.options.end()) return it->second;
-  }
-  return Status::InvalidArgument(cmd.verb +
-                                 " needs a dataset name (positional or "
-                                 "name=<name>)");
-}
+constexpr const char* kLoadUsage =
+    "LOAD needs <name> <path> (or name=<n> path=<p>)";
 
 json::Value Ok() {
   json::Value v = json::Value::MakeObject();
@@ -195,7 +149,7 @@ json::Value MatchToJson(const MatchResult& r) {
 
 Result<json::Value> DoGen(Engine* engine, const Command& cmd) {
   ONEX_RETURN_IF_ERROR(NeedArgs(cmd, 2));
-  const std::string& name = cmd.args[0];
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, Session{}));
   const std::string kind = ToLower(cmd.args[1]);
   ONEX_ASSIGN_OR_RETURN(long long num, OptInt(cmd, "num", 50));
   ONEX_ASSIGN_OR_RETURN(long long len, OptInt(cmd, "len", 100));
@@ -251,7 +205,7 @@ Result<json::Value> DoGen(Engine* engine, const Command& cmd) {
 
 Result<json::Value> DoPrepare(Engine* engine, const Session& session,
                               const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   BaseBuildOptions opt;
   ONEX_ASSIGN_OR_RETURN(opt.st, OptDouble(cmd, "st", opt.st));
   ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
@@ -305,7 +259,7 @@ Result<json::Value> DoPrepare(Engine* engine, const Session& session,
 
 Result<json::Value> DoStats(Engine* engine, const Session& session,
                             const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
                         engine->Get(name));
   json::Value v = Ok();
@@ -372,7 +326,7 @@ Result<json::Value> DoPersist(Engine* engine, const Command& cmd) {
 
 Result<json::Value> DoCheckpoint(Engine* engine, const Session& session,
                                  const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(CheckpointInfo info,
                         engine->registry().Checkpoint(name));
   json::Value v = Ok();
@@ -422,107 +376,63 @@ void ExportMatchValues(const MatchResult& r, const ExecContext& ctx) {
                          r.match_values.end());
 }
 
-/// MATCH/KNN with datasets=<a,b,c>: the query runs against every named
-/// dataset (q= resolves within each independently) and the per-dataset
-/// results merge through cluster_merge.h. This is the single-node twin of
-/// the coordinator's scatter-gather: same candidates, same comparator, same
-/// truncation — so a cluster and a single node answer byte-identically.
-Result<json::Value> DoMatchMulti(Engine* engine, const Command& cmd, bool knn,
-                                 const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        ParseDatasetsOption(cmd.options.at("datasets")));
+/// A parsed MATCH/KNN/BATCH request. `options.cancel` points at `cancel`,
+/// so the request stays where ParseQueryRequest filled it in.
+struct QueryRequest {
+  std::vector<QuerySpec> specs;  ///< Exactly one for MATCH and KNN.
+  QueryOptions options;
+  Cancellation cancel;
+  std::size_t k = 1;  ///< Always 1 for MATCH.
+};
+
+/// The parse steps every MATCH/KNN/BATCH takes, single-dataset or fanned
+/// out, in this order: q= (each BATCH ref and the spec-count cap), query
+/// options, deadline_ms, k.
+Status ParseQueryRequest(const Command& cmd, const ExecContext& ctx,
+                         QueryRequest* req) {
+  const bool batch = cmd.verb == "BATCH";
   const auto qit = cmd.options.find("q");
   if (qit == cmd.options.end()) {
-    return Status::InvalidArgument("missing q=<series>:<start>:<len>");
+    return Status::InvalidArgument(
+        batch ? "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]"
+              : "missing q=<series>:<start>:<len>");
   }
-  ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(qit->second));
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  long long k = 1;
-  if (knn) {
-    ONEX_ASSIGN_OR_RETURN(k, OptInt(cmd, "k", 3));
-    if (k < 1 || k > kMaxKnnK) {
-      return Status::InvalidArgument(
-          StrFormat("k must be in [1, %lld]", kMaxKnnK));
-    }
-  }
-
-  std::vector<ShardMatch> cands;
-  json::Value stats = json::Value::MakeObject();
-  bool any_stats = false;
-  for (const std::string& name : names) {
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<MatchResult> results,
-        engine->Knn(name, spec, static_cast<std::size_t>(k), qopt));
-    for (const MatchResult& r : results) {
-      ShardMatch c;
-      c.dataset = name;
-      c.match = MatchToJson(r);
-      c.match.Set("dataset", name);
-      c.values = r.match_values;
-      cands.push_back(std::move(c));
-    }
-    if (!results.empty()) {
-      AccumulateStats(&stats, StatsToJson(results.front().stats));
-      any_stats = true;
-    }
-  }
-  MergeTopK(&cands, static_cast<std::size_t>(k));
-
-  json::Value v = Ok();
-  if (knn) {
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
+  if (batch) {
+    for (const std::string& ref : SplitKeepEmpty(qit->second, ';')) {
+      if (req->specs.size() >= kMaxBatchSpecs) {
+        return Status::InvalidArgument(StrFormat(
+            "BATCH accepts at most %zu queries per frame", kMaxBatchSpecs));
       }
+      ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(ref));
+      req->specs.push_back(spec);
     }
-    v.Set("matches", std::move(arr));
-    if (any_stats) v.Set("stats", std::move(stats));
   } else {
-    if (cands.empty()) {
-      return Status::NotFound("no match in any of the named datasets");
-    }
-    v.Set("match", cands.front().match);
-    v.Set("stats", std::move(stats));
-    if (ctx.out_values != nullptr) {
-      ctx.out_values->insert(ctx.out_values->end(),
-                             cands.front().values.begin(),
-                             cands.front().values.end());
-    }
+    ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(qit->second));
+    req->specs.push_back(spec);
   }
-  return v;
+  ONEX_ASSIGN_OR_RETURN(req->options, ParseQueryOptions(cmd));
+  ONEX_ASSIGN_OR_RETURN(req->cancel, ParseCancellation(cmd, ctx));
+  req->options.cancel = &req->cancel;
+  if (cmd.verb == "MATCH") return Status::OK();
+  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", batch ? 1 : 3));
+  if (k < 1 || k > kMaxKnnK) {
+    return Status::InvalidArgument(
+        StrFormat("k must be in [1, %lld]", kMaxKnnK));
+  }
+  req->k = static_cast<std::size_t>(k);
+  return Status::OK();
 }
 
 Result<json::Value> DoMatch(Engine* engine, const Session& session,
-                            const Command& cmd, bool knn,
-                            const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) {
-    return DoMatchMulti(engine, cmd, knn, ctx);
-  }
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument("missing q=<series>:<start>:<len>");
-  }
-  ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(qit->second));
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
+                            const Command& cmd, const ExecContext& ctx) {
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
+  QueryRequest req;
+  ONEX_RETURN_IF_ERROR(ParseQueryRequest(cmd, ctx, &req));
 
   json::Value v = Ok();
-  if (knn) {
-    ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 3));
-    if (k < 1 || k > kMaxKnnK) {
-      return Status::InvalidArgument(
-          StrFormat("k must be in [1, %lld]", kMaxKnnK));
-    }
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<MatchResult> results,
-        engine->Knn(name, spec, static_cast<std::size_t>(k), qopt));
+  if (cmd.verb == "KNN") {
+    ONEX_ASSIGN_OR_RETURN(std::vector<MatchResult> results,
+                          engine->Knn(name, req.specs[0], req.k, req.options));
     json::Value arr = json::Value::MakeArray();
     for (const MatchResult& r : results) {
       arr.Append(MatchToJson(r));
@@ -532,8 +442,9 @@ Result<json::Value> DoMatch(Engine* engine, const Session& session,
     // One KnnQuery produced all k matches, so the stats are shared.
     if (!results.empty()) v.Set("stats", StatsToJson(results.front().stats));
   } else {
-    ONEX_ASSIGN_OR_RETURN(MatchResult r,
-                          engine->SimilaritySearch(name, spec, qopt));
+    ONEX_ASSIGN_OR_RETURN(
+        MatchResult r,
+        engine->SimilaritySearch(name, req.specs[0], req.options));
     v.Set("match", MatchToJson(r));
     v.Set("stats", StatsToJson(r.stats));
     ExportMatchValues(r, ctx);
@@ -541,128 +452,21 @@ Result<json::Value> DoMatch(Engine* engine, const Session& session,
   return v;
 }
 
-/// BATCH with datasets=: every query in the batch fans across all named
-/// datasets; each query's per-dataset k-lists merge independently with the
-/// shared deterministic comparator (see DoMatchMulti).
-Result<json::Value> DoBatchMulti(Engine* engine, const Command& cmd,
-                                 const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                        ParseDatasetsOption(cmd.options.at("datasets")));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument(
-        "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]");
-  }
-  std::vector<QuerySpec> specs;
-  for (const std::string& ref : SplitKeepEmpty(qit->second, ';')) {
-    if (specs.size() >= kMaxBatchSpecs) {
-      return Status::InvalidArgument(StrFormat(
-          "BATCH accepts at most %zu queries per frame", kMaxBatchSpecs));
-    }
-    ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(ref));
-    specs.push_back(std::move(spec));
-  }
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 1));
-  if (k < 1 || k > kMaxKnnK) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, %lld]", kMaxKnnK));
-  }
-  if (static_cast<long long>(specs.size() * names.size()) * k > kMaxKnnK) {
-    return Status::InvalidArgument(StrFormat(
-        "BATCH result volume (queries x datasets x k) is capped at %lld",
-        kMaxKnnK));
-  }
-
-  // One KnnBatch per dataset, then a per-query merge across datasets.
-  std::vector<std::vector<std::vector<MatchResult>>> per_dataset;
-  per_dataset.reserve(names.size());
-  for (const std::string& name : names) {
-    ONEX_ASSIGN_OR_RETURN(
-        std::vector<std::vector<MatchResult>> results,
-        engine->KnnBatch(name, specs, static_cast<std::size_t>(k), qopt));
-    per_dataset.push_back(std::move(results));
-  }
-
-  json::Value v = Ok();
-  json::Value results = json::Value::MakeArray();
-  for (std::size_t qi = 0; qi < specs.size(); ++qi) {
-    std::vector<ShardMatch> cands;
-    json::Value stats = json::Value::MakeObject();
-    bool any_stats = false;
-    for (std::size_t di = 0; di < names.size(); ++di) {
-      const std::vector<MatchResult>& matches = per_dataset[di][qi];
-      for (const MatchResult& r : matches) {
-        ShardMatch c;
-        c.dataset = names[di];
-        c.match = MatchToJson(r);
-        c.match.Set("dataset", names[di]);
-        c.values = r.match_values;
-        cands.push_back(std::move(c));
-      }
-      if (!matches.empty()) {
-        AccumulateStats(&stats, StatsToJson(matches.front().stats));
-        any_stats = true;
-      }
-    }
-    MergeTopK(&cands, static_cast<std::size_t>(k));
-    json::Value entry = json::Value::MakeObject();
-    json::Value arr = json::Value::MakeArray();
-    for (const ShardMatch& c : cands) {
-      arr.Append(c.match);
-      if (ctx.out_values != nullptr) {
-        ctx.out_values->insert(ctx.out_values->end(), c.values.begin(),
-                               c.values.end());
-      }
-    }
-    entry.Set("matches", std::move(arr));
-    if (any_stats) entry.Set("stats", std::move(stats));
-    results.Append(std::move(entry));
-  }
-  v.Set("results", std::move(results));
-  return v;
-}
-
 Result<json::Value> DoBatch(Engine* engine, const Session& session,
                             const Command& cmd, const ExecContext& ctx) {
-  if (cmd.options.count("datasets") != 0) {
-    return DoBatchMulti(engine, cmd, ctx);
-  }
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
-  const auto qit = cmd.options.find("q");
-  if (qit == cmd.options.end()) {
-    return Status::InvalidArgument(
-        "missing q=<series>:<start>:<len>[;<series>:<start>:<len>...]");
-  }
-  std::vector<QuerySpec> specs;
-  for (const std::string& ref : SplitKeepEmpty(qit->second, ';')) {
-    if (specs.size() >= kMaxBatchSpecs) {
-      return Status::InvalidArgument(StrFormat(
-          "BATCH accepts at most %zu queries per frame", kMaxBatchSpecs));
-    }
-    ONEX_ASSIGN_OR_RETURN(QuerySpec spec, ParseQueryRef(ref));
-    specs.push_back(std::move(spec));
-  }
-  ONEX_ASSIGN_OR_RETURN(QueryOptions qopt, ParseQueryOptions(cmd));
-  ONEX_ASSIGN_OR_RETURN(Cancellation cancel, ParseCancellation(cmd, ctx));
-  qopt.cancel = &cancel;
-  ONEX_ASSIGN_OR_RETURN(long long k, OptInt(cmd, "k", 1));
-  if (k < 1 || k > kMaxKnnK) {
-    return Status::InvalidArgument(
-        StrFormat("k must be in [1, %lld]", kMaxKnnK));
-  }
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
+  QueryRequest req;
+  ONEX_RETURN_IF_ERROR(ParseQueryRequest(cmd, ctx, &req));
   // The response carries specs x k matches; bound the product so one frame
   // cannot command an unbounded result materialization.
-  if (static_cast<long long>(specs.size()) * k > kMaxKnnK) {
+  if (static_cast<long long>(req.specs.size() * req.k) > kMaxKnnK) {
     return Status::InvalidArgument(StrFormat(
         "BATCH result volume (queries x k) is capped at %lld", kMaxKnnK));
   }
 
   ONEX_ASSIGN_OR_RETURN(
       std::vector<std::vector<MatchResult>> per_query,
-      engine->KnnBatch(name, specs, static_cast<std::size_t>(k), qopt));
+      engine->KnnBatch(name, req.specs, req.k, req.options));
   json::Value v = Ok();
   json::Value results = json::Value::MakeArray();
   for (const std::vector<MatchResult>& matches : per_query) {
@@ -682,9 +486,51 @@ Result<json::Value> DoBatch(Engine* engine, const Session& session,
   return v;
 }
 
+/// The single-dataset query a fan-out sends for one dataset: MATCH becomes
+/// KNN k=1 so every shard answers a k-list, and dataset=/fwd=1 pin the
+/// target and stop a receiving cluster node from routing it onward.
+WireRequest BuildShardQuery(const Command& cmd, const std::string& dataset) {
+  const bool match = cmd.verb == "MATCH";
+  std::string line = match ? "KNN" : cmd.verb;
+  for (const auto& [key, value] : cmd.options) {
+    if (key == "datasets" || key == "dataset" || key == "fwd") continue;
+    if (match && key == "k") continue;  // MATCH ignores k; the shard must too.
+    line += " " + key + "=" + value;
+  }
+  if (match) line += " k=1";
+  line += " dataset=" + dataset + " fwd=1";
+  WireRequest req;
+  req.command = std::move(line);
+  return req;
+}
+
+/// ExecuteFanOut in Result form, as Dispatch wants it.
+Result<json::Value> FanOut(const Command& cmd, const ExecContext& ctx,
+                           const ShardScatter& scatter) {
+  ONEX_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                        ParseDatasetsOption(cmd.options.at("datasets")));
+  QueryRequest req;
+  ONEX_RETURN_IF_ERROR(ParseQueryRequest(cmd, ctx, &req));
+  if (cmd.verb == "BATCH" &&
+      static_cast<long long>(req.specs.size() * names.size() * req.k) >
+          kMaxKnnK) {
+    return Status::InvalidArgument(StrFormat(
+        "BATCH result volume (queries x datasets x k) is capped at %lld",
+        kMaxKnnK));
+  }
+  std::vector<WireRequest> requests;
+  requests.reserve(names.size());
+  for (const std::string& name : names) {
+    requests.push_back(BuildShardQuery(cmd, name));
+  }
+  ONEX_ASSIGN_OR_RETURN(std::vector<WireResponse> responses,
+                        scatter(names, requests));
+  return MergeFanOut(cmd.verb, req.k, names, responses, ctx.out_values);
+}
+
 Result<json::Value> DoSeasonal(Engine* engine, const Session& session,
                                const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(long long series, OptInt(cmd, "series", 0));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long minocc, OptInt(cmd, "minocc", 2));
@@ -718,7 +564,7 @@ Result<json::Value> DoSeasonal(Engine* engine, const Session& session,
 
 Result<json::Value> DoOverview(Engine* engine, const Session& session,
                                const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 12));
   if (length < 0 || top < 0) {
@@ -736,7 +582,7 @@ Result<json::Value> DoOverview(Engine* engine, const Session& session,
 
 Result<json::Value> DoThreshold(Engine* engine, const Session& session,
                                 const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ThresholdAdvisorOptions opt;
   ONEX_ASSIGN_OR_RETURN(long long pairs, OptInt(cmd, "pairs", 2000));
   ONEX_ASSIGN_OR_RETURN(long long minlen, OptInt(cmd, "minlen", 4));
@@ -765,7 +611,7 @@ Result<json::Value> DoThreshold(Engine* engine, const Session& session,
 
 Result<json::Value> DoAppend(Engine* engine, const Session& session,
                              const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   std::vector<double> values;
   const auto vit = cmd.options.find("v");
   if (vit != cmd.options.end()) {
@@ -835,7 +681,7 @@ json::Value RefToJson(const SubseqRef& ref) {
 
 Result<json::Value> DoAnomaly(Engine* engine, const Session& session,
                               const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 10));
   ONEX_ASSIGN_OR_RETURN(long long minpts, OptInt(cmd, "minpts", 2));
@@ -880,7 +726,7 @@ Result<json::Value> DoAnomaly(Engine* engine, const Session& session,
 Result<json::Value> DoChangepoint(Engine* engine, const Session& session,
                                   const Command& cmd,
                                   const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
                         ResolveSeriesOption(engine, name, cmd));
   ONEX_ASSIGN_OR_RETURN(double hazard, OptDouble(cmd, "hazard", 0.01));
@@ -927,7 +773,7 @@ Result<json::Value> DoChangepoint(Engine* engine, const Session& session,
 
 Result<json::Value> DoMotif(Engine* engine, const Session& session,
                             const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(long long length, OptInt(cmd, "length", 0));
   ONEX_ASSIGN_OR_RETURN(long long top, OptInt(cmd, "top", 5));
   ONEX_ASSIGN_OR_RETURN(long long discords, OptInt(cmd, "discords", 3));
@@ -985,7 +831,7 @@ Result<json::Value> DoMotif(Engine* engine, const Session& session,
 
 Result<json::Value> DoForecast(Engine* engine, const Session& session,
                                const Command& cmd, const ExecContext& ctx) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   ONEX_ASSIGN_OR_RETURN(std::size_t series,
                         ResolveSeriesOption(engine, name, cmd));
   ONEX_ASSIGN_OR_RETURN(long long horizon, OptInt(cmd, "horizon", 8));
@@ -1047,7 +893,7 @@ Result<json::Value> DoForecast(Engine* engine, const Session& session,
 
 Result<json::Value> DoExtend(Engine* engine, const Session& session,
                              const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   std::vector<double> points;
   const auto pit = cmd.options.find("points");
   if (pit != cmd.options.end()) {
@@ -1100,7 +946,7 @@ Result<json::Value> DoExtend(Engine* engine, const Session& session,
 
 Result<json::Value> DoDrift(Engine* engine, const Session& session,
                             const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   // Validate everything before committing the (registry-wide) threshold, so
   // a failed command leaves no side effect behind.
   ONEX_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> ds,
@@ -1171,7 +1017,7 @@ Result<json::Value> DoDatasets(Engine* engine) {
 
 Result<json::Value> DoUse(Engine* engine, Session* session,
                           const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, *session));
   // Validate before committing so a typo does not poison the session.
   ONEX_RETURN_IF_ERROR(engine->Get(name).status());
   session->dataset = name;
@@ -1197,7 +1043,7 @@ Result<json::Value> DoBudget(Engine* engine, const Command& cmd) {
 
 Result<json::Value> DoTier(Engine* engine, const Session& session,
                            const Command& cmd) {
-  ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, session));
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, session));
   if (const auto it = cmd.options.find("pin"); it != cmd.options.end()) {
     ONEX_ASSIGN_OR_RETURN(long long pin, ParseInt(it->second));
     if (pin != 0 && pin != 1) {
@@ -1230,14 +1076,10 @@ Result<json::Value> DoTier(Engine* engine, const Session& session,
 Result<json::Value> DoLoad(Engine* engine, const Command& cmd) {
   // Positionals win over options, independently per field, so the mixed
   // forms ("LOAD foo path=/x") behave like every other verb's resolution.
-  const std::string name =
-      !cmd.args.empty() ? cmd.args[0] : OptString(cmd, "name", "");
+  ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, Session{}));
   const std::string path =
       cmd.args.size() >= 2 ? cmd.args[1] : OptString(cmd, "path", "");
-  if (name.empty() || path.empty()) {
-    return Status::InvalidArgument(
-        "LOAD needs <name> <path> (or name=<n> path=<p>)");
-  }
+  if (path.empty()) return Status::InvalidArgument(kLoadUsage);
   ONEX_RETURN_IF_ERROR(engine->LoadUcrFile(name, path));
   json::Value v = Ok();
   v.Set("dataset", name);
@@ -1358,7 +1200,7 @@ Result<json::Value> Dispatch(Engine* engine, Session* session,
   if (cmd.verb == "GEN") return DoGen(engine, cmd);
   if (cmd.verb == "LOAD") return DoLoad(engine, cmd);
   if (cmd.verb == "DROP") {
-    ONEX_ASSIGN_OR_RETURN(std::string name, ExplicitNameArg(cmd));
+    ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, *session));
     ONEX_RETURN_IF_ERROR(engine->DropDataset(name));
     if (session->dataset == name) session->dataset.clear();
     return Ok();
@@ -1384,7 +1226,7 @@ Result<json::Value> Dispatch(Engine* engine, Session* session,
   if (cmd.verb == "PERSIST") return DoPersist(engine, cmd);
   if (cmd.verb == "CHECKPOINT") return DoCheckpoint(engine, *session, cmd);
   if (cmd.verb == "CATALOG") {
-    ONEX_ASSIGN_OR_RETURN(std::string name, DatasetArg(cmd, *session));
+    ONEX_ASSIGN_OR_RETURN(std::string name, ResolveDataset(cmd, *session));
     ONEX_ASSIGN_OR_RETURN(long long points, OptInt(cmd, "points", 24));
     if (points < 1 || points > kMaxCatalogPoints) {
       return Status::InvalidArgument(
@@ -1408,11 +1250,22 @@ Result<json::Value> Dispatch(Engine* engine, Session* session,
   }
   if (cmd.verb == "STATS") return DoStats(engine, *session, cmd);
   if (cmd.verb == "OVERVIEW") return DoOverview(engine, *session, cmd);
-  if (cmd.verb == "MATCH") {
-    return DoMatch(engine, *session, cmd, /*knn=*/false, ctx);
+  if (IsFanOut(cmd)) {
+    // A single node holds every dataset, so every shard runs right here.
+    return FanOut(cmd, ctx,
+                  [&](const std::vector<std::string>&,
+                      const std::vector<WireRequest>& requests) {
+                    std::vector<WireResponse> responses;
+                    for (const WireRequest& request : requests) {
+                      responses.push_back(
+                          ExecuteShardQuery(engine, request, ctx));
+                    }
+                    return Result<std::vector<WireResponse>>(
+                        std::move(responses));
+                  });
   }
-  if (cmd.verb == "KNN") {
-    return DoMatch(engine, *session, cmd, /*knn=*/true, ctx);
+  if (cmd.verb == "MATCH" || cmd.verb == "KNN") {
+    return DoMatch(engine, *session, cmd, ctx);
   }
   if (cmd.verb == "BATCH") return DoBatch(engine, *session, cmd, ctx);
   if (cmd.verb == "SEASONAL") return DoSeasonal(engine, *session, cmd);
@@ -1461,6 +1314,63 @@ Result<Command> ParseCommandLine(const std::string& line) {
     }
   }
   return cmd;
+}
+
+Result<std::string> ResolveDataset(const Command& cmd, const Session& session) {
+  if (!cmd.args.empty()) return cmd.args[0];
+  if (cmd.verb == "GEN") {
+    return Status::InvalidArgument("GEN needs a dataset name (positional)");
+  }
+  if (cmd.verb == "LOAD") {
+    const auto it = cmd.options.find("name");
+    if (it != cmd.options.end() && !it->second.empty()) return it->second;
+    return Status::InvalidArgument(kLoadUsage);
+  }
+  // USE and DROP name their slot explicitly: a session default would make
+  // a typo select (or drop) the wrong dataset.
+  if (cmd.verb == "USE" || cmd.verb == "DROP") {
+    for (const char* key : {"name", "dataset"}) {
+      const auto it = cmd.options.find(key);
+      if (it != cmd.options.end()) return it->second;
+    }
+    return Status::InvalidArgument(cmd.verb +
+                                   " needs a dataset name (positional or "
+                                   "name=<name>)");
+  }
+  const auto it = cmd.options.find("dataset");
+  if (it != cmd.options.end()) return it->second;
+  if (!session.dataset.empty()) return session.dataset;
+  return Status::InvalidArgument(
+      cmd.verb +
+      " needs a dataset: positional name, dataset=<name>, or USE <name>");
+}
+
+bool IsFanOut(const Command& cmd) {
+  return (cmd.verb == "MATCH" || cmd.verb == "KNN" || cmd.verb == "BATCH") &&
+         cmd.options.count("datasets") != 0;
+}
+
+json::Value ExecuteFanOut(const Command& cmd, const ExecContext& ctx,
+                          const ShardScatter& scatter) {
+  Result<json::Value> result = FanOut(cmd, ctx, scatter);
+  if (!result.ok()) return ErrorResponse(result.status());
+  return std::move(result).value();
+}
+
+WireResponse ExecuteShardQuery(Engine* engine, const WireRequest& request,
+                               const ExecContext& ctx) {
+  WireResponse out;
+  Result<Command> cmd = ParseCommandLine(request.command);
+  if (!cmd.ok()) {
+    out.body = ErrorResponse(cmd.status());
+    return out;
+  }
+  ExecContext local = ctx;
+  local.cluster = nullptr;
+  local.out_values = &out.values;
+  Session scratch;  // Shard queries always carry dataset= explicitly.
+  out.body = ExecuteCommand(engine, &scratch, *cmd, local);
+  return out;
 }
 
 json::Value ErrorResponse(const Status& status) {

@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "onex/common/result.h"
 #include "onex/engine/engine.h"
 #include "onex/json/json.h"
+#include "onex/net/client.h"
 
 namespace onex::net {
 
@@ -121,9 +124,12 @@ namespace onex::net {
 /// with the deterministic order of cluster_merge.h — ascending
 /// normalized_dtw, ties by (dataset, series, start, length). Each merged
 /// match carries a "dataset" field; stats are summed in the given dataset
-/// order. The cluster coordinator scatter-gathers the same fan-out across
-/// shards and merges with the same comparator, which is what makes a
-/// cluster answer bitwise equal to a single node holding all the data.
+/// order. A single node and a cluster coordinator run this one path
+/// (ExecuteFanOut); they differ only in where each per-dataset shard query
+/// executes. Errors come in a fixed order: first the parse errors a
+/// single-dataset request would give (datasets= list, q=, query options,
+/// deadline_ms, k), then the BATCH volume cap (queries x datasets x k),
+/// then the first shard error in dataset order.
 ///
 /// Replication verbs (DESIGN.md §16; spoken between cluster nodes over the
 /// ONEXB frame, not meant for interactive use):
@@ -181,6 +187,27 @@ struct Session {
   std::string dataset;
 };
 
+/// Allocation caps behind the size-driving options of the protocol table.
+inline constexpr long long kMaxGenPoints = 2'000'000;
+inline constexpr long long kMaxCatalogPoints = 100'000;
+/// KNN/BATCH k, and the BATCH result volume (queries x datasets x k).
+inline constexpr long long kMaxKnnK = 100'000;
+inline constexpr long long kMaxThresholdPairs = 1'000'000;
+inline constexpr std::size_t kMaxBatchSpecs = 1024;
+/// A streaming tail append is a poll cycle's worth of points, not a bulk
+/// load; bulk ingest goes through LOAD/GEN.
+inline constexpr std::size_t kMaxExtendPoints = 100'000;
+/// Background-checkpoint threshold: one frame must not be able to arm a
+/// policy that never fires (overflow) or fires pathologically.
+inline constexpr long long kMaxCheckpointEvery = 1'000'000'000;
+/// ANOMALY top/minpts and MOTIF top/discords.
+inline constexpr long long kMaxAnalyticsTop = 100'000;
+/// CHANGEPOINT maxrun: the recursion keeps maxrun hypotheses alive.
+inline constexpr long long kMaxChangepointRun = 100'000;
+/// FORECAST horizon: the response carries horizon points twice (raw and
+/// normalized units).
+inline constexpr long long kMaxForecastHorizon = 100'000;
+
 /// Splits a protocol line; ParseError on empty input or malformed k=v.
 Result<Command> ParseCommandLine(const std::string& line);
 
@@ -220,6 +247,35 @@ json::Value ExecuteCommand(Engine* engine, Session* session,
 /// Session-less convenience (in-process callers, tests): every command must
 /// carry its dataset explicitly.
 json::Value ExecuteCommand(Engine* engine, const Command& command);
+
+/// The dataset a dataset-scoped command acts on, resolved exactly as the
+/// executor resolves it: GEN takes its positional name, LOAD a positional
+/// or name=, USE and DROP a positional, name= or dataset=, and every other
+/// verb a positional, dataset= or the session's USE default. The cluster
+/// routes by this same function. InvalidArgument when no name is given.
+Result<std::string> ResolveDataset(const Command& cmd, const Session& session);
+
+/// True for MATCH/KNN/BATCH carrying datasets=.
+bool IsFanOut(const Command& cmd);
+
+/// Runs a fan-out's per-dataset shard queries (`requests[i]` targets
+/// `names[i]`) and returns the responses in the same order.
+using ShardScatter = std::function<Result<std::vector<WireResponse>>(
+    const std::vector<std::string>& names,
+    const std::vector<WireRequest>& requests)>;
+
+/// The datasets= fan-out: validates the request, builds one single-dataset
+/// shard query per dataset (MATCH becomes KNN k=1; dataset= and fwd=1 are
+/// pinned), hands them to `scatter`, and merges the answers (MergeFanOut).
+/// A single node scatters with ExecuteShardQuery; a cluster coordinator
+/// scatters to the owning nodes.
+json::Value ExecuteFanOut(const Command& cmd, const ExecContext& ctx,
+                          const ShardScatter& scatter);
+
+/// Executes one shard query on this node with a fresh session, collecting
+/// its match values into the response's value section.
+WireResponse ExecuteShardQuery(Engine* engine, const WireRequest& request,
+                               const ExecContext& ctx);
 
 /// Serializes a response (single line + '\n').
 std::string FormatResponse(const json::Value& response);

@@ -189,7 +189,15 @@ std::string RandomOp(Rng* rng, const std::vector<std::string>& datasets,
     }
     return out;
   };
-  switch (rng->UniformIndex(6)) {
+  auto all = [&] {
+    std::string out;
+    for (std::size_t i = 0; i < datasets.size(); ++i) {
+      if (i != 0) out += ',';
+      out += datasets[i];
+    }
+    return out;
+  };
+  switch (rng->UniformIndex(8)) {
     case 0:
       return "APPEND " + ds + " series=h" + std::to_string(step) +
              " v=" + vals(6 + rng->UniformIndex(4));
@@ -205,16 +213,15 @@ std::string RandomOp(Rng* rng, const std::vector<std::string>& datasets,
       std::string cmd = "BATCH " + ds + " q=" + spec() + ";" + spec() + " k=2";
       return cmd;
     }
-    default: {
-      // datasets= scatter-gather across shards, merged by the coordinator.
-      std::string all;
-      for (std::size_t i = 0; i < datasets.size(); ++i) {
-        if (i != 0) all += ',';
-        all += datasets[i];
-      }
-      return "KNN datasets=" + all + " q=" + spec() +
+    // datasets= scatter-gather across shards, merged by the coordinator.
+    case 5:
+      return "MATCH datasets=" + all() + " q=" + spec();
+    case 6:
+      return "BATCH datasets=" + all() + " q=" + spec() + ";" + spec() +
+             " k=" + std::to_string(1 + rng->UniformIndex(3));
+    default:
+      return "KNN datasets=" + all() + " q=" + spec() +
              " k=" + std::to_string(2 + rng->UniformIndex(2));
-    }
   }
 }
 

@@ -1,18 +1,23 @@
-// Satellite regression for the coordinator's deterministic top-k merge:
-// equal-distance candidates must order by (dataset, series, start, length)
-// so the merged answer is bitwise identical for ANY shard assignment or
-// arrival order (DESIGN.md §16).
+// Regressions for the datasets= fan-out (DESIGN.md §16): the deterministic
+// top-k merge orders equal-distance candidates by (dataset, series, start,
+// length) so the merged answer is bitwise identical for ANY shard assignment
+// or arrival order, and a one-node coordinator answers every fan-out exactly
+// like the plain single-node executor.
 
 #include "onex/net/cluster_merge.h"
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "onex/engine/engine.h"
 #include "onex/json/json.h"
+#include "onex/net/cluster.h"
+#include "onex/net/protocol.h"
 
 namespace onex::net {
 namespace {
@@ -150,6 +155,96 @@ TEST(ClusterMerge, ParseDatasetsOption) {
   EXPECT_FALSE(ParseDatasetsOption("a,,b").ok());
   EXPECT_FALSE(ParseDatasetsOption("a,b,a").ok());
   EXPECT_FALSE(ParseDatasetsOption("").ok());
+}
+
+void ScrubElapsed(json::Value* v) {
+  if (v->is_object()) {
+    v->mutable_object().erase("elapsed_ms");
+    for (auto& entry : v->mutable_object()) ScrubElapsed(&entry.second);
+  } else if (v->is_array()) {
+    for (auto& entry : v->mutable_array()) ScrubElapsed(&entry);
+  }
+}
+
+struct Answer {
+  json::Value body;
+  std::vector<double> values;
+};
+
+/// One request through ExecuteCommand, routed by `cluster` when non-null.
+Answer Ask(Engine* engine, ClusterNode* cluster, const std::string& line) {
+  Answer answer;
+  Result<Command> cmd = ParseCommandLine(line);
+  EXPECT_TRUE(cmd.ok()) << cmd.status();
+  if (!cmd.ok()) return answer;
+  Session session;
+  ExecContext ctx;
+  ctx.cluster = cluster;
+  ctx.out_values = &answer.values;
+  answer.body = ExecuteCommand(engine, &session, *cmd, ctx);
+  ScrubElapsed(&answer.body);
+  return answer;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// A one-node coordinator runs every shard locally, so it needs no Start()
+// and no peers; whatever it answers for a datasets= request must be what
+// the plain executor answers on the same engine, body and value section.
+TEST(FanOutDifferential, OneNodeCoordinatorMatchesTheExecutor) {
+  Engine engine;
+  for (const char* line :
+       {"GEN a sine num=6 len=24 seed=3", "PREPARE a st=0.2 maxlen=12",
+        "GEN b walk num=6 len=24 seed=5", "PREPARE b st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(Ask(&engine, nullptr, line).body["ok"].as_bool()) << line;
+  }
+  ClusterNode::Options options;
+  options.nodes = {"127.0.0.1:1"};
+  options.self = 0;
+  ClusterNode node(&engine, options);
+
+  struct Case {
+    const char* line;
+    bool ok;
+  };
+  const Case cases[] = {
+      // Over the result-volume cap (2 queries x 2 datasets x 50000), but
+      // each is already malformed; the parse error must win on both paths.
+      {"BATCH datasets=a,b q=0:0:8;bad k=50000", false},
+      {"BATCH datasets=a,b q=0:0:8;1:2:8 window=zz k=50000", false},
+      {"BATCH datasets=a,b q=0:0:8;1:2:8 threads=-1 k=50000", false},
+      {"BATCH datasets=a,b q=0:0:8;1:2:8 deadline_ms=-5 k=50000", false},
+      {"BATCH datasets=a,b q=0:0:8;1:2:8 k=50000", false},
+      {"KNN datasets=a,b q=0:0:8 k=0", false},
+      {"MATCH datasets=a,b", false},
+      {"MATCH datasets=a,,b q=0:0:8", false},
+      {"MATCH datasets=a,b q=0:2:8", true},
+      {"MATCH datasets=b,a q=3:1:10 k=zz", true},
+      {"KNN datasets=a,b q=1:0:10 k=4", true},
+      {"KNN datasets=b,a q=2:4:9", true},
+      {"BATCH datasets=b,a q=0:0:8;2:3:9 k=3", true},
+      {"BATCH datasets=a,b q=5:0:12", true},
+      // A missing dataset in the middle of the list: the first shard error
+      // in dataset order is the answer.
+      {"MATCH datasets=a,missing,b q=0:0:8", false},
+      {"KNN datasets=a,missing,b q=0:0:8 k=2", false},
+      {"BATCH datasets=a,missing,b q=0:0:8 k=2", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    const Answer single = Ask(&engine, nullptr, c.line);
+    const Answer routed = Ask(&engine, &node, c.line);
+    EXPECT_EQ(single.body["ok"].as_bool(), c.ok) << single.body.Dump();
+    EXPECT_EQ(routed.body.Dump(), single.body.Dump());
+    EXPECT_TRUE(SameBits(routed.values, single.values));
+    if (c.ok) {
+      EXPECT_FALSE(single.values.empty());
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -727,6 +728,114 @@ TEST(ProtocolTest, DatasetOptionOverridesSession) {
       ExecuteCommand(&engine, &session, *ParseCommandLine("MATCH q=0:2:8"));
   EXPECT_FALSE(unprepared["ok"].as_bool());
   EXPECT_EQ(unprepared["code"].as_string(), "FailedPrecondition");
+}
+
+// The cluster routes by ResolveDataset and the executor acts on it, so the
+// table pins each verb family's rule.
+TEST(ProtocolTest, ResolveDatasetFollowsEachVerbsRule) {
+  Session used;
+  used.dataset = "u";
+  struct Case {
+    const char* line;
+    const Session* session;
+    const char* want;  ///< nullptr: unroutable (InvalidArgument).
+  };
+  const Session none;
+  const Case cases[] = {
+      {"MATCH a q=0:0:8", &used, "a"},
+      {"STATS dataset=b", &used, "b"},
+      {"STATS c dataset=b", &none, "c"},
+      {"STATS", &used, "u"},
+      {"KNN q=0:0:8", &none, nullptr},
+      {"STATS name=b", &none, nullptr},
+      {"GEN g sine", &used, "g"},
+      {"GEN dataset=b", &used, nullptr},
+      {"LOAD l /tmp/x", &used, "l"},
+      {"LOAD name=l path=/tmp/x", &used, "l"},
+      {"LOAD name= path=/tmp/x", &used, nullptr},
+      {"LOAD dataset=l path=/tmp/x", &used, nullptr},
+      {"USE name=n", &none, "n"},
+      {"USE dataset=d", &none, "d"},
+      {"USE", &used, nullptr},
+      {"DROP x", &used, "x"},
+      {"DROP", &used, nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    const Result<std::string> got =
+        ResolveDataset(*ParseCommandLine(c.line), *c.session);
+    if (c.want == nullptr) {
+      ASSERT_FALSE(got.ok()) << *got;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    } else {
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, c.want);
+    }
+  }
+}
+
+void ScrubElapsed(json::Value* v) {
+  if (v->is_object()) {
+    v->mutable_object().erase("elapsed_ms");
+    for (auto& entry : v->mutable_object()) ScrubElapsed(&entry.second);
+  } else if (v->is_array()) {
+    for (auto& entry : v->mutable_array()) ScrubElapsed(&entry);
+  }
+}
+
+// A two-dataset BATCH answers each query with the per-dataset KNN lists
+// merged by hand: tagged with their dataset, ordered by normalized_dtw then
+// (dataset, series, start, length), cut to k, stats summed.
+TEST(ProtocolTest, FanOutBatchIsThePerDatasetKnnMergedByHand) {
+  Engine engine;
+  for (const char* line :
+       {"GEN a sine num=6 len=24 seed=3", "PREPARE a st=0.2 maxlen=12",
+        "GEN b walk num=6 len=24 seed=5", "PREPARE b st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(
+        ExecuteCommand(&engine, *ParseCommandLine(line))["ok"].as_bool());
+  }
+  const std::vector<std::string> queries = {"0:0:8", "2:3:9", "4:1:12"};
+  json::Value batch = ExecuteCommand(
+      &engine,
+      *ParseCommandLine("BATCH datasets=a,b q=0:0:8;2:3:9;4:1:12 k=3"));
+  ASSERT_TRUE(batch["ok"].as_bool()) << batch.Dump();
+  ScrubElapsed(&batch);
+  ASSERT_EQ(batch["results"].as_array().size(), queries.size());
+
+  const auto key = [](const json::Value& m) {
+    return std::make_tuple(m["normalized_dtw"].as_number(),
+                           m["dataset"].as_string(), m["series"].as_number(),
+                           m["start"].as_number(), m["length"].as_number());
+  };
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE(queries[q]);
+    std::vector<json::Value> matches;
+    json::Value stats = json::Value::MakeObject();
+    for (const std::string ds : {"a", "b"}) {
+      json::Value knn = ExecuteCommand(
+          &engine, *ParseCommandLine("KNN " + ds + " q=" + queries[q] + " k=3"));
+      ASSERT_TRUE(knn["ok"].as_bool()) << knn.Dump();
+      ScrubElapsed(&knn);
+      for (json::Value m : knn["matches"].as_array()) {
+        m.Set("dataset", ds);
+        matches.push_back(std::move(m));
+      }
+      for (const auto& [field, value] : knn["stats"].as_object()) {
+        stats.Set(field, stats[field].as_number() + value.as_number());
+      }
+    }
+    std::stable_sort(matches.begin(), matches.end(),
+                     [&](const json::Value& x, const json::Value& y) {
+                       return key(x) < key(y);
+                     });
+    matches.resize(3);
+    json::Value want = json::Value::MakeObject();
+    json::Value arr = json::Value::MakeArray();
+    for (json::Value& m : matches) arr.Append(std::move(m));
+    want.Set("matches", std::move(arr));
+    want.Set("stats", std::move(stats));
+    EXPECT_EQ(batch["results"].as_array()[q].Dump(), want.Dump());
+  }
 }
 
 TEST(ProtocolTest, DatasetsReportsSlotDetailAndBudget) {
