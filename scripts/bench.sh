@@ -24,8 +24,12 @@
 #                           structure: ANOMALY/MOTIF/FORECAST fast paths
 #                           vs index-blind scans, BOCPD truncation vs the
 #                           exact recursion (DESIGN.md §18)
+#   BENCH_construction.json bench_e1_construction — base build time and
+#                           the clustering scan's centroid evaluations and
+#                           bound skips on the servebench corpus shapes
+#                           (DESIGN.md §5)
 #
-# Usage: scripts/bench.sh [query.json [maintenance.json [kernels.json [net.json [tier.json [analytics.json]]]]]]
+# Usage: scripts/bench.sh [query.json [maintenance.json [kernels.json [net.json [tier.json [analytics.json [construction.json]]]]]]]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,11 +39,12 @@ KERNEL_OUT="${3:-BENCH_kernels.json}"
 NET_OUT="${4:-BENCH_net.json}"
 TIER_OUT="${5:-BENCH_tier.json}"
 ANALYTICS_OUT="${6:-BENCH_analytics.json}"
+CONSTRUCTION_OUT="${7:-BENCH_construction.json}"
 
 cmake -B build -S . -DONEX_BUILD_BENCHES=ON >/dev/null
 cmake --build build -j --target bench_e2_query_speedup \
   bench_e10_maintenance bench_e11_kernel_sweep bench_e12_load \
-  bench_e13_coldstart bench_e14_analytics >/dev/null
+  bench_e13_coldstart bench_e14_analytics bench_e1_construction >/dev/null
 
 ./build/bench_e2_query_speedup --json "$QUERY_OUT"
 echo "perf record: $QUERY_OUT"
@@ -53,3 +58,9 @@ echo "perf record: $NET_OUT"
 echo "perf record: $TIER_OUT"
 ./build/bench_e14_analytics --json "$ANALYTICS_OUT"
 echo "perf record: $ANALYTICS_OUT"
+REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+git diff --quiet HEAD -- src bench 2>/dev/null || REV="$REV-dirty"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+./build/bench_e1_construction --json "$CONSTRUCTION_OUT" --rev "$REV" \
+  --build-type "${BUILD_TYPE:-unknown}"
+echo "perf record: $CONSTRUCTION_OUT"

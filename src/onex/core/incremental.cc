@@ -63,20 +63,6 @@ LengthClassDraft* FindOrCreateClass(std::vector<LengthClassDraft>* classes,
   return &*it;
 }
 
-/// Inserts one subsequence under the build-time leader rule.
-void InsertMember(LengthClassDraft* cls, const Dataset& ds,
-                  const SubseqRef& ref, double radius, bool update_centroid) {
-  const std::span<const double> vals = ref.Resolve(ds);
-  const auto [idx, dist] = internal::NearestGroup(cls->groups, vals, radius);
-  if (idx == cls->groups.size()) {
-    GroupBuilder g(ref.length);
-    g.Add(ref, vals, update_centroid);
-    cls->groups.push_back(std::move(g));
-  } else {
-    cls->groups[idx].Add(ref, vals, update_centroid);
-  }
-}
-
 LengthClassDrift DriftOfClass(const OnexBase& base, const LengthClass& cls) {
   const double radius = base.options().st / 2.0;
   LengthClassDrift drift;
@@ -119,13 +105,18 @@ Result<OnexBase> AppendSeries(const OnexBase& base, TimeSeries series) {
   const bool update_centroid =
       options.centroid_policy != CentroidPolicy::kFixedLeader;
 
+  ScanCounters scan;
   for (std::size_t len = options.min_length; len <= max_len;
        len += options.length_step) {
     if (new_len < len) continue;
     LengthClassDraft* cls = FindOrCreateClass(&classes, len);
+    std::vector<internal::SeriesMean> means =
+        internal::CentroidMeans(cls->groups);
     for (std::size_t start = 0; start + len <= new_len;
          start += options.stride) {
-      InsertMember(cls, ds, {new_idx, start, len}, radius, update_centroid);
+      const SubseqRef ref{new_idx, start, len};
+      internal::InsertLeader(&cls->groups, &means, ref, ref.Resolve(ds),
+                             radius, update_centroid, &scan);
     }
   }
 
@@ -199,9 +190,11 @@ Result<ExtendResult> ExtendSeries(
 
   std::size_t new_members = 0;
   std::vector<std::size_t> touched;
+  ScanCounters scan;
   for (std::size_t len = options.min_length; len <= max_len;
        len += options.length_step) {
     LengthClassDraft* cls = nullptr;
+    std::vector<internal::SeriesMean> means;
     for (std::size_t s = 0; s < pending.size(); ++s) {
       if (pending[s].empty()) continue;
       const std::size_t old_len = old_ds[s].length();
@@ -217,8 +210,13 @@ Result<ExtendResult> ExtendSeries(
       }
       for (std::size_t start = first; start + len <= new_len;
            start += options.stride) {
-        if (cls == nullptr) cls = FindOrCreateClass(&classes, len);
-        InsertMember(cls, ds, {s, start, len}, radius, update_centroid);
+        if (cls == nullptr) {
+          cls = FindOrCreateClass(&classes, len);
+          means = internal::CentroidMeans(cls->groups);
+        }
+        const SubseqRef ref{s, start, len};
+        internal::InsertLeader(&cls->groups, &means, ref, ref.Resolve(ds),
+                               radius, update_centroid, &scan);
         ++new_members;
       }
     }
@@ -278,8 +276,9 @@ Result<OnexBase> RegroupLengthClasses(const OnexBase& base,
       // centroids of its own era, the exact pipeline the offline build runs.
       LengthClassDraft draft;
       draft.length = cls.length;
-      draft.groups = internal::BuildGroupsForLength(base.dataset(), cls.length,
-                                                    base.options(), &repaired);
+      ScanCounters scan;
+      draft.groups = internal::BuildGroupsForLength(
+          base.dataset(), cls.length, base.options(), &repaired, &scan);
       classes.push_back(std::move(draft));
     } else {
       classes.push_back(ThawClass(cls));

@@ -37,13 +37,13 @@ LengthClass FinalizeLengthClass(std::size_t length,
 /// Builds the length-`len` class: leader clustering of every admissible
 /// subsequence, plus the optional repair pass — the shared
 /// internal::BuildGroupsForLength pipeline, packed columnar. Returns the
-/// number of members the repair pass moved through `repaired`. Thread-safe:
-/// touches only its own outputs.
+/// number of members the repair pass moved through `repaired` and the scan
+/// work through `scan`. Thread-safe: touches only its own outputs.
 LengthClass BuildLengthClass(const Dataset& ds, std::size_t len,
                              const BaseBuildOptions& options,
-                             std::size_t* repaired) {
+                             std::size_t* repaired, ScanCounters* scan) {
   const std::vector<GroupBuilder> groups =
-      internal::BuildGroupsForLength(ds, len, options, repaired);
+      internal::BuildGroupsForLength(ds, len, options, repaired, scan);
   if (groups.empty()) return LengthClass{len, nullptr, {}, 0};
   return FinalizeLengthClass(len, groups);
 }
@@ -104,6 +104,7 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
 
   std::vector<LengthClass> classes(lengths.size());
   std::vector<std::size_t> repaired(lengths.size(), 0);
+  std::vector<ScanCounters> scans(lengths.size());
   TaskPool& tasks = pool != nullptr ? *pool : TaskPool::Shared();
   std::size_t workers = options.threads == 0 ? tasks.worker_count() + 1
                                              : options.threads;
@@ -111,7 +112,8 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < lengths.size(); ++i) {
-      classes[i] = BuildLengthClass(ds, lengths[i], options, &repaired[i]);
+      classes[i] = BuildLengthClass(ds, lengths[i], options, &repaired[i],
+                                    &scans[i]);
     }
   } else {
     // Length classes are independent work items; the pool dynamically
@@ -121,13 +123,16 @@ Result<OnexBase> OnexBase::Build(std::shared_ptr<const Dataset> dataset,
     tasks.ParallelFor(
         lengths.size(),
         [&](std::size_t i) {
-          classes[i] = BuildLengthClass(ds, lengths[i], options, &repaired[i]);
+          classes[i] = BuildLengthClass(ds, lengths[i], options, &repaired[i],
+                                        &scans[i]);
         },
         workers);
   }
 
   for (std::size_t i = 0; i < classes.size(); ++i) {
     LengthClass& cls = classes[i];
+    base.stats_.scan.centroid_evals += scans[i].centroid_evals;
+    base.stats_.scan.bound_skips += scans[i].bound_skips;
     if (cls.total_members == 0) continue;
     base.stats_.repaired_members += repaired[i];
     base.stats_.num_subsequences += cls.total_members;

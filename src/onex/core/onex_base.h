@@ -72,12 +72,22 @@ struct LengthClassDraft {
   std::vector<GroupBuilder> groups;
 };
 
+/// Work of the leader-clustering scan (internal::NearestGroup, DESIGN.md
+/// §5). Every candidate centroid a scan visits is counted exactly once:
+/// either its distance went through the kernel or the mean bound skipped it.
+struct ScanCounters {
+  std::size_t centroid_evals = 0;  ///< Candidates the kernel measured.
+  std::size_t bound_skips = 0;     ///< Candidates the mean bound ruled out.
+};
+
 /// Construction statistics surfaced by benches and the engine.
 struct BaseStats {
   std::size_t num_subsequences = 0;  ///< Members placed into groups.
   std::size_t num_groups = 0;
   std::size_t num_length_classes = 0;
   std::size_t repaired_members = 0;  ///< Moved by the repair pass.
+  /// Clustering work of Build (zero on restored or assembled bases).
+  ScanCounters scan;
   double build_seconds = 0.0;
 
   /// Groups per subsequence: the data-reduction factor the paper's §3.1

@@ -245,6 +245,8 @@ Result<json::Value> DoPrepare(Engine* engine, const Session& session,
   if (ds->prepared()) {
     v.Set("groups", ds->base->stats().num_groups);
     v.Set("subsequences", ds->base->stats().num_subsequences);
+    v.Set("centroid_evals", ds->base->stats().scan.centroid_evals);
+    v.Set("bound_skips", ds->base->stats().scan.bound_skips);
     v.Set("length_classes", ds->base->stats().num_length_classes);
     v.Set("compaction", ds->base->stats().CompactionRatio());
     v.Set("build_seconds", ds->base->stats().build_seconds);
@@ -1251,7 +1253,9 @@ Result<json::Value> Dispatch(Engine* engine, Session* session,
   if (cmd.verb == "STATS") return DoStats(engine, *session, cmd);
   if (cmd.verb == "OVERVIEW") return DoOverview(engine, *session, cmd);
   if (IsFanOut(cmd)) {
-    // A single node holds every dataset, so every shard runs right here.
+    // A single node holds every dataset, so every shard runs right here,
+    // in dataset order up to the first failure: that failure is the answer
+    // (MergeFanOut), so the shards after it would run for nothing.
     return FanOut(cmd, ctx,
                   [&](const std::vector<std::string>&,
                       const std::vector<WireRequest>& requests) {
@@ -1259,6 +1263,7 @@ Result<json::Value> Dispatch(Engine* engine, Session* session,
                     for (const WireRequest& request : requests) {
                       responses.push_back(
                           ExecuteShardQuery(engine, request, ctx));
+                      if (!responses.back().body["ok"].as_bool()) break;
                     }
                     return Result<std::vector<WireResponse>>(
                         std::move(responses));

@@ -259,7 +259,8 @@ Result<std::string> ResolveDataset(const Command& cmd, const Session& session);
 bool IsFanOut(const Command& cmd);
 
 /// Runs a fan-out's per-dataset shard queries (`requests[i]` targets
-/// `names[i]`) and returns the responses in the same order.
+/// `names[i]`) and returns the responses in the same order. It may stop
+/// after the first failing response, since that failure is the answer.
 using ShardScatter = std::function<Result<std::vector<WireResponse>>(
     const std::vector<std::string>& names,
     const std::vector<WireRequest>& requests)>;

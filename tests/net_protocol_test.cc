@@ -838,6 +838,52 @@ TEST(ProtocolTest, FanOutBatchIsThePerDatasetKnnMergedByHand) {
   }
 }
 
+// The first failing shard is the fan-out's answer, so the shards after it
+// are never run: the engine's query counter moves by the shards before it.
+TEST(ProtocolTest, FanOutStopsAtTheFirstFailingShard) {
+  Engine engine;
+  for (const char* line :
+       {"GEN a sine num=6 len=24 seed=3", "PREPARE a st=0.2 maxlen=12",
+        "GEN b walk num=6 len=24 seed=5", "PREPARE b st=0.2 maxlen=12"}) {
+    ASSERT_TRUE(
+        ExecuteCommand(&engine, *ParseCommandLine(line))["ok"].as_bool());
+  }
+  const auto queries = [&] {
+    return ExecuteCommand(&engine, *ParseCommandLine("STATS a"))["queries"]
+        .as_number();
+  };
+  const double before = queries();
+  const json::Value failed = ExecuteCommand(
+      &engine, *ParseCommandLine("KNN datasets=a,missing,b q=0:0:8 k=2"));
+  EXPECT_FALSE(failed["ok"].as_bool());
+  EXPECT_EQ(failed["code"].as_string(), "NotFound") << failed.Dump();
+  EXPECT_EQ(queries() - before, 1.0) << "only shard a may run";
+
+  const json::Value ok = ExecuteCommand(
+      &engine, *ParseCommandLine("KNN datasets=a,b q=0:0:8 k=2"));
+  ASSERT_TRUE(ok["ok"].as_bool()) << ok.Dump();
+  EXPECT_EQ(queries() - before, 3.0);
+}
+
+// PREPARE reports the leader-clustering scan's work beside the group count:
+// every candidate centroid was either measured or skipped by the bound.
+TEST(ProtocolTest, PrepareReportsTheClusteringScanCounters) {
+  Engine engine;
+  ASSERT_TRUE(ExecuteCommand(&engine,
+                             *ParseCommandLine("GEN w walk num=8 len=64"))
+                  ["ok"].as_bool());
+  const json::Value v = ExecuteCommand(
+      &engine, *ParseCommandLine("PREPARE w st=0.2 minlen=8 maxlen=24"));
+  ASSERT_TRUE(v["ok"].as_bool()) << v.Dump();
+  const ScanCounters scan = (*engine.Get("w"))->base->stats().scan;
+  EXPECT_EQ(v["centroid_evals"].as_number(),
+            static_cast<double>(scan.centroid_evals));
+  EXPECT_EQ(v["bound_skips"].as_number(),
+            static_cast<double>(scan.bound_skips));
+  EXPECT_GT(scan.centroid_evals, 0u);
+  EXPECT_GT(scan.bound_skips, 0u);
+}
+
 TEST(ProtocolTest, DatasetsReportsSlotDetailAndBudget) {
   Engine engine;
   Session session;
