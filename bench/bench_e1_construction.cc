@@ -5,10 +5,10 @@
 /// With --json <path> it also times the build of the two servebench corpus
 /// shapes a transparent rebuild re-runs (fleet-feed 20x128 with lengths
 /// 8..32, dashboard 40x256 with lengths 8..64; one sine, walk and shapes
-/// dataset each), over --reps repetitions (default 7), and writes
-/// median/min/max/IQR of the build time with the leader-clustering scan
-/// counters (DESIGN.md §5) to <path>. --rev and --build-type label the
-/// record; scripts/bench.sh fills them in.
+/// dataset each), over kReps repetitions, and writes median/min/max/IQR
+/// of the build time with the leader-clustering scan counters (DESIGN.md
+/// §5) to <path>. --rev and --build-type label the record;
+/// scripts/bench.sh fills them in.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -104,10 +104,13 @@ onex::json::Value Spread(std::vector<double> v) {
   return out;
 }
 
-/// Times `reps` serial builds of one sine, walk and shapes dataset of
+/// Repetitions of each servebench shape's build in the --json record.
+constexpr int kReps = 9;
+
+/// Times kReps serial builds of one sine, walk and shapes dataset of
 /// `shape` and returns its JSON record; the base statistics are
 /// deterministic, so they are taken from the last repetition.
-onex::json::Value RunShape(const Shape& shape, int reps) {
+onex::json::Value RunShape(const Shape& shape) {
   std::vector<std::shared_ptr<const onex::Dataset>> corpus;
   for (int kind = 0; kind < 3; ++kind) {
     corpus.push_back(MakeKind(kind, shape, 7000 + kind));
@@ -118,7 +121,7 @@ onex::json::Value RunShape(const Shape& shape, int reps) {
   opt.max_length = shape.max_length;
   std::vector<double> times;
   std::size_t subsequences = 0, groups = 0, evals = 0, skips = 0;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
     subsequences = groups = evals = skips = 0;
     double ms = 0.0;
     for (const auto& ds : corpus) {
@@ -162,7 +165,6 @@ int main(int argc, char** argv) {
   using onex::bench::FmtZu;
 
   std::string json_path, rev = "unknown", build_type = "unknown";
-  int reps = 7;
   for (int a = 1; a + 1 < argc; a += 2) {
     const std::string flag = argv[a];
     if (flag == "--json") {
@@ -171,8 +173,6 @@ int main(int argc, char** argv) {
       rev = argv[a + 1];
     } else if (flag == "--build-type") {
       build_type = argv[a + 1];
-    } else if (flag == "--reps") {
-      reps = std::max(1, std::atoi(argv[a + 1]));
     }
   }
 
@@ -236,11 +236,11 @@ int main(int argc, char** argv) {
       "profile.\n");
 
   if (json_path.empty()) return 0;
-  std::printf("\n-- servebench corpus shapes (%d repetitions) --\n", reps);
+  std::printf("\n-- servebench corpus shapes (%d repetitions) --\n", kReps);
   onex::json::Value shapes = onex::json::Value::MakeArray();
   for (const Shape& shape : {Shape{"fleet-feed", 20, 128, 8, 32},
                              Shape{"dashboard", 40, 256, 8, 64}}) {
-    shapes.Append(RunShape(shape, reps));
+    shapes.Append(RunShape(shape));
   }
   onex::json::Value host = onex::json::Value::MakeObject();
   host.Set("cores",
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   doc.Set("bench", "e1_construction");
   doc.Set("revision", rev);
   doc.Set("host", std::move(host));
-  doc.Set("repetitions", static_cast<std::size_t>(reps));
+  doc.Set("repetitions", static_cast<std::size_t>(kReps));
   doc.Set("threads", static_cast<std::size_t>(1));
   doc.Set("shapes", std::move(shapes));
   std::ofstream out(json_path);

@@ -27,7 +27,10 @@
 #   BENCH_construction.json bench_e1_construction — base build time and
 #                           the clustering scan's centroid evaluations and
 #                           bound skips on the servebench corpus shapes
-#                           (DESIGN.md §5)
+#                           (DESIGN.md §5). This script writes one
+#                           revision's record; the committed file is a
+#                           hand merge of such records from alternating
+#                           parent/change runs (see its "how" field).
 #
 # Usage: scripts/bench.sh [query.json [maintenance.json [kernels.json [net.json [tier.json [analytics.json [construction.json]]]]]]]
 set -eu
